@@ -1,12 +1,8 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation. Each benchmark regenerates its figure at a reduced (but
-// shape-preserving) scale per iteration and reports the figure's headline
-// quantity as a custom metric, so `go test -bench=.` both exercises the full
-// pipeline and prints the reproduced numbers.
-//
-// The full-methodology tables (all six workloads at full footprint) are
-// produced by `go run ./cmd/experiments -run all`; see EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison.
+// Benchmark harness: simulator cost, not reproduction. Steady-state
+// throughput (recorder off and on), the stall-heavy cycle-skip regime, the
+// 18x7 sweep wall-clock, the workload substrate, and the headline
+// Boomerang-vs-FDIP delta. The paper's figures are experiment specs under
+// testdata/experiments/, run with `boomctl experiment`; see EXPERIMENTS.md.
 package boomsim_test
 
 import (
@@ -15,180 +11,11 @@ import (
 	"time"
 
 	"boomsim"
-	"boomsim/internal/experiments"
 	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
 	"boomsim/internal/sim"
 	"boomsim/internal/workload"
 )
-
-// benchParams returns bench-scale experiment parameters: two contrasting
-// workloads (a web front end and the BTB-heavy OLTP), reduced footprints.
-func benchParams() experiments.Params {
-	apache, _ := workload.ByName("Apache")
-	db2, _ := workload.ByName("DB2")
-	p := experiments.Full()
-	p.Workloads = []workload.Profile{apache, db2}
-	p.FootprintKB = 768
-	p.WarmInstrs = 150_000
-	p.MeasureInstrs = 500_000
-	return p
-}
-
-// BenchmarkFig1_Opportunity regenerates Figure 1: the speedup available from
-// a perfect L1-I and from adding a perfect BTB (paper: +11-47% and +6-40%).
-func BenchmarkFig1_Opportunity(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig1(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "Perfect L1-I"), "perfectL1I_speedup")
-		b.ReportMetric(t.Get("Avg", "Perfect L1-I + BTB"), "perfectCF_speedup")
-	}
-}
-
-// BenchmarkFig2_PredictorSweep regenerates Figure 2: FDIP coverage under
-// TAGE / bimodal / never-taken vs PIF (paper: FDIP+TAGE tracks PIF; even
-// never-taken retains much of the coverage).
-func BenchmarkFig2_PredictorSweep(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig2(p, []int{10, 30, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("LLC=30", "FDIP TAGE"), "fdip_tage_cov")
-		b.ReportMetric(t.Get("LLC=30", "PIF"), "pif_cov")
-		b.ReportMetric(t.Get("LLC=30", "FDIP Never-Taken"), "fdip_nt_cov")
-	}
-}
-
-// BenchmarkFig3_MissBreakdown regenerates Figure 3: the miss-cycle
-// breakdown (paper: sequential misses are 40-54% of the baseline's total).
-func BenchmarkFig3_MissBreakdown(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig3(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Base 2KBTB", "Sequential%"), "base_seq_pct")
-		b.ReportMetric(t.Get("FDIP 2KBTB", "Total%"), "fdip2k_total_pct")
-		b.ReportMetric(t.Get("FDIP 32KBTB", "Total%"), "fdip32k_total_pct")
-	}
-}
-
-// BenchmarkFig4_BranchDistance regenerates Figure 4: the taken-conditional
-// branch distance CDF (paper: ~92% within 4 cache blocks).
-func BenchmarkFig4_BranchDistance(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig4(p, 300_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "4"), "cdf_at_4_blocks")
-	}
-}
-
-// BenchmarkFig5_BTBSweep regenerates Figure 5: FDIP coverage vs BTB size
-// (paper: 32K -> 2K loses ~12 points of coverage).
-func BenchmarkFig5_BTBSweep(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5(p, []int{30}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("LLC=30", "BTB2K"), "btb2k_cov")
-		b.ReportMetric(t.Get("LLC=30", "BTB32K"), "btb32k_cov")
-	}
-}
-
-// BenchmarkFig7_Squashes regenerates Figure 7: squashes per kilo-instruction
-// (paper: Boomerang and Confluence eliminate >85% of BTB-miss squashes).
-func BenchmarkFig7_Squashes(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		f7, _, _, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f7.Get("FDIP (BTB miss)", "Avg"), "fdip_btbmiss_ki")
-		b.ReportMetric(f7.Get("Boomerang (BTB miss)", "Avg"), "boomerang_btbmiss_ki")
-		b.ReportMetric(f7.Get("Confluence (BTB miss)", "Avg"), "confluence_btbmiss_ki")
-	}
-}
-
-// BenchmarkFig8_Coverage regenerates Figure 8: front-end stall cycle
-// coverage (paper: Boomerang 61% ~ Confluence 60% on average).
-func BenchmarkFig8_Coverage(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		_, f8, _, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f8.Get("Boomerang", "Avg"), "boomerang_cov")
-		b.ReportMetric(f8.Get("Confluence", "Avg"), "confluence_cov")
-		b.ReportMetric(f8.Get("FDIP", "Avg"), "fdip_cov")
-	}
-}
-
-// BenchmarkFig9_Speedup regenerates Figure 9: speedup over the no-prefetch
-// baseline (paper: Boomerang 1.28x average, ~1% over Confluence).
-func BenchmarkFig9_Speedup(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		_, _, f9, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f9.Get("Boomerang", "Avg"), "boomerang_speedup")
-		b.ReportMetric(f9.Get("Confluence", "Avg"), "confluence_speedup")
-		b.ReportMetric(f9.Get("FDIP", "Avg"), "fdip_speedup")
-	}
-}
-
-// BenchmarkFig10_Throttle regenerates Figure 10: Boomerang's next-N-block
-// sensitivity (paper: next-2 is the best average; DB2 gains ~12%).
-func BenchmarkFig10_Throttle(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig10(p, []int{0, 2, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "None"), "throttle0_speedup")
-		b.ReportMetric(t.Get("Avg", "2 Blocks"), "throttle2_speedup")
-	}
-}
-
-// BenchmarkFig11_LowLatency regenerates Figure 11: the lineup at the
-// crossbar's 18-cycle LLC round trip (paper: same ordering, smaller gains).
-func BenchmarkFig11_LowLatency(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig11(p, 18)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "Boomerang"), "boomerang_speedup_18c")
-		b.ReportMetric(t.Get("Avg", "Confluence"), "confluence_speedup_18c")
-	}
-}
-
-// BenchmarkStorage_Costs regenerates the Section VI-D storage comparison
-// (paper: Boomerang 540 bytes vs 200KB+ for temporal streaming).
-func BenchmarkStorage_Costs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.StorageTable()
-		b.ReportMetric(t.Get("Boomerang", "KB"), "boomerang_kb")
-		b.ReportMetric(t.Get("PIF", "KB"), "pif_kb")
-	}
-}
 
 // BenchmarkSimulatorThroughput measures steady-state simulation speed:
 // simulated instructions per wall-clock second for the Boomerang

@@ -67,7 +67,7 @@ type Record struct {
 	// complementing the per-instruction steady-state cost above.
 	MatrixMillis float64 `json:"matrix_ms,omitempty"`
 	// Metrics holds every parsed "<benchmark>/<unit>" value for trajectory
-	// analysis beyond the headline (figure-level custom metrics included).
+	// analysis beyond the headline (every benchmark's custom metrics included).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

@@ -5,16 +5,18 @@
 // worker death) and reassembled in deterministic matrix order — the same
 // bytes a local run would produce.
 //
-// boomctl is also the hypothesis-driven experiment entry point:
+// boomctl is also the hypothesis-driven experiment entry point, and the way
+// to regenerate the paper's figures:
 //
-//	boomctl experiment testdata/experiments/fig8-speedup.json
+//	boomctl experiment testdata/experiments/fig9-speedup.json
 //	boomctl experiment -endpoints http://sim-1:8080,http://sim-2:8080 spec.json
 //
 // loads a declarative experiment spec (hypothesis, baseline, candidates,
 // workloads, seeds, parameter matrix, success criteria), runs the matrix
 // locally or across the pool, aggregates metrics over seeds into mean ±
 // 95% confidence intervals, and exits nonzero on a FAIL verdict — see
-// EXPERIMENTS.md for the spec format.
+// EXPERIMENTS.md for the spec format and which spec reproduces which
+// figure.
 //
 // Sweep examples:
 //

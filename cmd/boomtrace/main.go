@@ -6,7 +6,7 @@
 // Examples:
 //
 //	boomtrace -workload DB2 -info
-//	boomtrace -workload Apache -dynamic -steps 500000
+//	boomtrace -workload Apache -dynamic -steps 500000   # Figure 4 CDF
 //	boomtrace -workload Zeus -record zeus.trc -steps 2000000
 //	boomtrace -workload Zeus -verify zeus.trc
 package main
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"boomsim"
 	"boomsim/internal/isa"
@@ -68,8 +69,17 @@ func main() {
 			100*float64(st.TakenConds)/float64(st.CondBranches))
 		fmt.Printf("  calls/returns    %d/%d (max depth %d)\n", st.Calls, st.Returns, wk.MaxCallDepthSeen())
 		fmt.Printf("  touched code     %d KB\n", st.TouchedLines*64/1024)
-		cdf := program.CDF(st.TakenCondDist)
-		fmt.Printf("  taken-cond CDF   <=1 block %.2f, <=4 blocks %.2f (Figure 4)\n", cdf[1], cdf[4])
+		// Figure 4: the share of taken conditionals whose target lies within
+		// N cache blocks of the branch, N = 0..7 and 8 or more.
+		fmt.Printf("  taken-cond CDF  ")
+		for n, v := range program.CDF(st.TakenCondDist) {
+			label := strconv.Itoa(n)
+			if n == len(st.TakenCondDist)-1 {
+				label += "+"
+			}
+			fmt.Printf(" %s:%.2f", label, v)
+		}
+		fmt.Printf(" (Figure 4, blocks)\n")
 	}
 
 	if *record != "" {

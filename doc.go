@@ -87,7 +87,8 @@
 //
 // The implementation lives under internal/: internal/core holds the
 // Boomerang mechanism itself, internal/scheme the evaluated configurations,
-// internal/sim the run harness, and internal/experiments the per-figure
-// reproductions driven by cmd/experiments. The cmd/boomsim binary and the
-// examples/ programs consume only this package.
+// internal/sim the run harness, and internal/exp the experiment engine that
+// RunExperiment drives; the paper's figures are experiment specs under
+// testdata/experiments/. The cmd/boomsim binary and the examples/ programs
+// consume only this package.
 package boomsim

@@ -80,7 +80,7 @@ func experimentEnv() exp.Env {
 }
 
 // headlineMetricNames is the set of dotless metric names an experiment can
-// reference: exactly the scalar fields flattenResult extracts from Result.
+// reference: exactly the headline fields and ratios flattenResult produces.
 // Deriving the set from the same function that builds cell metrics keeps
 // validation and evaluation incapable of disagreeing.
 var headlineMetricNames = sync.OnceValue(func() map[string]bool {
@@ -94,8 +94,23 @@ var headlineMetricNames = sync.OnceValue(func() map[string]bool {
 // flattenResult projects one Result onto the experiment engine's flat
 // metric map: every headline scalar under its JSON field name, the stall
 // class counts under stall_cycles_* names, and the full per-component
-// registry under its dotted names.
+// registry under its dotted names. It also derives the one-run ratios the
+// paper's tables read: traffic per kilo-instruction and each stall class's
+// share of the run's own stall cycles. Those exist only here, in experiment
+// cells, never in Result JSON.
 func flattenResult(r Result) map[string]float64 {
+	perKI := func(v float64) float64 {
+		if r.Instructions == 0 {
+			return 0
+		}
+		return v * 1000 / float64(r.Instructions)
+	}
+	share := func(v uint64) float64 {
+		if r.FetchStallCycles == 0 {
+			return 0
+		}
+		return float64(v) / float64(r.FetchStallCycles)
+	}
 	m := map[string]float64{
 		"ipc":                        r.IPC,
 		"instructions":               float64(r.Instructions),
@@ -117,6 +132,13 @@ func flattenResult(r Result) map[string]float64 {
 		"predecoded_lines":           float64(r.PredecodedLines),
 		"prefetch_meta_bytes":        float64(r.PrefetchMetaBytes),
 		"storage_overhead_kb":        r.StorageOverheadKB,
+
+		"prefetches_per_ki":         perKI(float64(r.Prefetches)),
+		"llc_accesses_per_ki":       perKI(float64(r.LLCAccesses)),
+		"useless_prefetches_per_ki": perKI(r.Stats["cache.useless_prefetches"]),
+		"stall_share_sequential":    share(r.StallCycles.Sequential),
+		"stall_share_conditional":   share(r.StallCycles.Conditional),
+		"stall_share_unconditional": share(r.StallCycles.Unconditional),
 	}
 	for name, v := range r.Stats {
 		m[name] = v

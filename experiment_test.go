@@ -131,6 +131,9 @@ func TestExperimentReportDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Scheduling, not statistics, is under test: a short window keeps the
+	// three runs of the 81-cell matrix cheap.
+	spec.Window = &boomsim.ExperimentWindow{Warm: 2000, Measure: 10000}
 
 	sequential := experimentReportJSON(t, spec, boomsim.WithExperimentParallelism(1))
 	parallel := experimentReportJSON(t, spec, boomsim.WithExperimentParallelism(8))
@@ -261,11 +264,78 @@ func TestExperimentCoverageMatchesSimulator(t *testing.T) {
 	}
 }
 
-// Smoke-run the two cheapest checked-in paper claims end to end and
+// The one-run ratio metrics the ported figure tables read (traffic per
+// kilo-instruction, stall-class shares) must equal the same ratios taken
+// from the Result of an identical standalone run.
+func TestExperimentRatioMetrics(t *testing.T) {
+	const seed = uint64(7)
+	spec := tinyExperiment()
+	spec.Seeds = []uint64{seed}
+	spec.Metrics = []string{
+		"prefetches_per_ki", "llc_accesses_per_ki", "useless_prefetches_per_ki",
+		"stall_share_sequential", "stall_share_conditional", "stall_share_unconditional",
+	}
+	report, err := boomsim.RunExperiment(context.Background(), spec, boomsim.WithExperimentTimestamp(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]float64
+	for _, agg := range report.Aggregates {
+		if agg.Scheme == "Boomerang" && agg.Workload == "Apache" {
+			got = map[string]float64{}
+			for name, s := range agg.Metrics {
+				got[name] = s.Mean
+			}
+		}
+	}
+	if got == nil {
+		t.Fatal("report has no Boomerang/Apache aggregate")
+	}
+
+	s, err := boomsim.New(boomsim.WithScheme("Boomerang"), boomsim.WithWorkload("Apache"),
+		boomsim.WithSeeds(seed, seed), boomsim.WithWindow(spec.Window.Warm, spec.Window.Measure))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ki := float64(r.Instructions) / 1000
+	stalls := float64(r.FetchStallCycles)
+	if r.Prefetches == 0 || stalls == 0 {
+		t.Fatalf("degenerate run: %d prefetches, %v stall cycles", r.Prefetches, stalls)
+	}
+	want := map[string]float64{
+		"prefetches_per_ki":         float64(r.Prefetches) / ki,
+		"llc_accesses_per_ki":       float64(r.LLCAccesses) / ki,
+		"useless_prefetches_per_ki": r.Stats["cache.useless_prefetches"] / ki,
+		"stall_share_sequential":    float64(r.StallCycles.Sequential) / stalls,
+		"stall_share_conditional":   float64(r.StallCycles.Conditional) / stalls,
+		"stall_share_unconditional": float64(r.StallCycles.Unconditional) / stalls,
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || math.Abs(g-w) > 1e-12 {
+			t.Errorf("%s = %v (present %v), want %v", name, g, ok, w)
+		}
+	}
+	// The ratios live in experiment cells only; Result JSON is unchanged.
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range want {
+		if strings.Contains(string(data), `"`+name+`"`) {
+			t.Errorf("Result JSON carries experiment-only metric %s", name)
+		}
+	}
+}
+
+// Smoke-run two checked-in paper claims end to end and
 // require their verdicts to hold. The full set runs in the dedicated CI
 // experiment job via boomctl; this keeps `go test ./...` self-contained.
 func TestExperimentPaperClaimsSmoke(t *testing.T) {
-	for _, name := range []string{"table3-storage.json", "fig9-coverage.json"} {
+	for _, name := range []string{"table3-storage.json", "fig8-coverage.json"} {
 		t.Run(name, func(t *testing.T) {
 			spec, err := boomsim.LoadExperimentSpec(filepath.Join(experimentsDir, name))
 			if err != nil {

@@ -10,5 +10,6 @@ func (b *Backend) Clone() *Backend {
 	c.win = append(make([]inflight, 0, cap(b.win)), b.win...)
 	c.resolvedScratch = make([]uint64, 0, cap(b.resolvedScratch))
 	c.retiredScratch = make([]uint64, 0, cap(b.retiredScratch))
+	c.fastRetired = make([]RetiredEvent, 0, cap(b.fastRetired))
 	return &c
 }

@@ -404,6 +404,54 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// With several workloads every metric table gains a mean-over-workloads
+// column; a one-workload report has nothing to average and keeps its shape.
+func TestRenderWorkloadAverage(t *testing.T) {
+	spec := validSpec()
+	spec.Workloads = []string{"W1", "W2"}
+	schemes := []string{"Base", "Cand"}
+	ipc := func(s, wl string, seed uint64) float64 {
+		switch {
+		case s == "Base":
+			return 1.0
+		case wl == "W1":
+			return 1.2
+		}
+		return 1.4
+	}
+	rep, err := BuildReport(&spec, schemes, buildCells(&spec, schemes, ipc))
+	if err != nil {
+		t.Fatalf("BuildReport: %v", err)
+	}
+	var sb strings.Builder
+	rep.Render(&sb)
+	out := sb.String()
+	if !strings.Contains(out, "WORKLOAD AVG") {
+		t.Fatalf("two-workload report lacks the average column:\n%s", out)
+	}
+	// Cand's speedup is 1.2 on W1 and 1.4 on W2.
+	found := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "Cand") && strings.HasSuffix(line, "1.3000") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no Cand row ends in the 1.3000 workload average:\n%s", out)
+	}
+
+	one := validSpec()
+	rep, err = BuildReport(&one, schemes, buildCells(&one, schemes, ipc))
+	if err != nil {
+		t.Fatalf("BuildReport: %v", err)
+	}
+	sb.Reset()
+	rep.Render(&sb)
+	if strings.Contains(sb.String(), "WORKLOAD AVG") {
+		t.Errorf("one-workload report grew an average column:\n%s", sb.String())
+	}
+}
+
 func TestPointString(t *testing.T) {
 	if got := (Point{}).String(); got != "defaults" {
 		t.Errorf("zero point = %q", got)

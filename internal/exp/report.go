@@ -429,9 +429,12 @@ func judge(c Criterion, s statkit.Summary) (verdict, detail string) {
 }
 
 // Render writes the human-readable report: header, one mean±CI table per
-// aggregated metric (rows schemes, columns workloads), then every
-// criterion with its per-row verdicts and the overall verdict.
+// aggregated metric (rows schemes, columns workloads, plus the mean over
+// workloads when there are several, the form the paper states its averages
+// in), then every criterion with its per-row verdicts and the overall
+// verdict.
 func (r *Report) Render(w io.Writer) {
+	avgCol := len(r.Header.Workloads) > 1
 	fmt.Fprintf(w, "Experiment: %s\n", r.Header.Name)
 	fmt.Fprintf(w, "Hypothesis: %s\n", r.Header.Hypothesis)
 	fmt.Fprintf(w, "Spec:       sha256:%s\n", r.Header.SpecDigest)
@@ -486,28 +489,36 @@ func (r *Report) Render(w io.Writer) {
 			for _, wl := range r.Header.Workloads {
 				fmt.Fprintf(w, " %20s", wl)
 			}
+			if avgCol {
+				fmt.Fprintf(w, " %20s", "WORKLOAD AVG")
+			}
 			fmt.Fprintln(w)
 			for _, scheme := range r.Header.Schemes {
 				cells := make([]string, 0, len(r.Header.Workloads))
-				any := false
+				var sum float64
+				n := 0
 				for _, wl := range r.Header.Workloads {
 					cell := ""
 					for _, a := range g.aggs {
 						if a.Scheme == scheme && a.Workload == wl {
 							if s, ok := a.Metrics[m]; ok {
 								cell = fmt.Sprintf("%.4f ±%.4f", s.Mean, s.CI95Hi-s.Mean)
-								any = true
+								sum += s.Mean
+								n++
 							}
 						}
 					}
 					cells = append(cells, cell)
 				}
-				if !any {
+				if n == 0 {
 					continue
 				}
 				fmt.Fprintf(w, "  %-22s", scheme)
 				for _, cell := range cells {
 					fmt.Fprintf(w, " %20s", cell)
+				}
+				if avgCol && n == len(cells) {
+					fmt.Fprintf(w, " %20.4f", sum/float64(n))
 				}
 				fmt.Fprintln(w)
 			}

@@ -1,8 +1,8 @@
 // Package par provides the bounded worker pool every fan-out in the module
-// shares: the experiment runner, the public RunMatrix, and the sampled-run
-// harness all dispatch through ForEach instead of spawning one goroutine per
-// job, so concurrency is capped by the caller's worker budget rather than
-// the size of the work list.
+// shares: the public RunMatrix (and through it RunExperiment) and the
+// sampled-run harness both dispatch through ForEach instead of spawning one
+// goroutine per job, so concurrency is capped by the caller's worker budget
+// rather than the size of the work list.
 package par
 
 import (

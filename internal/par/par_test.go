@@ -1,19 +1,19 @@
-package experiments
+package par
 
 import (
 	"context"
 	"sync/atomic"
 	"testing"
-
-	"boomsim/internal/workload"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		var hits [100]int32
-		ForEach(context.Background(), workers, len(hits), func(i int) {
+		if err := ForEach(context.Background(), workers, len(hits), func(i int) {
 			atomic.AddInt32(&hits[i], 1)
-		})
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
@@ -68,61 +68,4 @@ func TestForEachCancellation(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})
-}
-
-// testParams is a deliberately small matrix so the determinism test runs the
-// full pipeline twice in CI time.
-func testParams() Params {
-	apache, _ := workload.ByName("Apache")
-	db2, _ := workload.ByName("DB2")
-	p := Full()
-	p.Workloads = []workload.Profile{apache, db2}
-	p.FootprintKB = 256
-	p.WarmInstrs = 20_000
-	p.MeasureInstrs = 60_000
-	return p
-}
-
-// TestParallelMatchesSequential pins the runner's determinism guarantee:
-// the same seeds must produce byte-identical tables whether the simulation
-// matrix runs sequentially or across the worker pool.
-func TestParallelMatchesSequential(t *testing.T) {
-	seq := testParams()
-	seq.Parallelism = 1
-	par := testParams()
-	par.Parallelism = 8
-
-	s7, s8, s9, err := Figures789(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p7, p8, p9, err := Figures789(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range []struct {
-		name     string
-		seq, par *Table
-	}{{"fig7", s7, p7}, {"fig8", s8, p8}, {"fig9", s9, p9}} {
-		if pair.seq.String() != pair.par.String() {
-			t.Errorf("%s differs between sequential and parallel runs:\n--- sequential\n%s--- parallel\n%s",
-				pair.name, pair.seq, pair.par)
-		}
-		if pair.seq.CSV() != pair.par.CSV() {
-			t.Errorf("%s CSV differs between sequential and parallel runs", pair.name)
-		}
-	}
-
-	// Fig4 goes through the per-workload ForEach path rather than runMatrix.
-	s4, err := Fig4(seq, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := Fig4(par, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4.String() != p4.String() {
-		t.Errorf("fig4 differs between sequential and parallel runs")
-	}
 }

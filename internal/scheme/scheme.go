@@ -91,18 +91,6 @@ func PIF() Config {
 	}
 }
 
-// PIFWith builds a PIF variant with a custom temporal configuration
-// (ablation studies).
-func PIFWith(name string, tcfg prefetch.TemporalConfig) Config {
-	return Config{
-		Name:              name,
-		Description:       "Temporal-streaming prefetcher (custom configuration)",
-		StorageOverheadKB: 224,
-		FTQDepth:          baselineFTQDepth,
-		Prefetcher:        &PrefetcherConfig{Kind: PrefetchTemporal, Temporal: &tcfg},
-	}
-}
-
 // SHIFT virtualises the temporal-streaming metadata into the LLC: replay
 // pays the LLC round trip, the history carves LLC capacity, and the index
 // extends the LLC tag array (240KB of dedicated storage).
@@ -159,8 +147,8 @@ func BoomerangThrottled(n int) Config {
 }
 
 // BoomerangCustom builds a Boomerang variant with an explicit unit
-// configuration (ablation studies: BTB prefetch buffer size, predecode scan
-// bound, throttle policy, unthrottled operation).
+// configuration (throttle policy, unthrottled operation); the ablation
+// specs express theirs as inline scheme configs instead.
 func BoomerangCustom(name string, bcfg core.Config) Config {
 	return Config{
 		Name:              name,
@@ -177,18 +165,6 @@ func BoomerangUnthrottled() Config {
 	cfg := core.DefaultConfig()
 	cfg.Unthrottled = true
 	return BoomerangCustom("Boomerang-Unthrottled", cfg)
-}
-
-// FDIPDepth builds FDIP with a custom FTQ depth (ablation: how deep must
-// the decoupling queue be for prefetch to run ahead of fetch?).
-func FDIPDepth(depth int) Config {
-	return Config{
-		Name:              fmt.Sprintf("FDIP-FTQ%d", depth),
-		Description:       "Fetch-directed instruction prefetch, custom FTQ depth",
-		StorageOverheadKB: float64(depth*51) / 8 / 1024,
-		FTQDepth:          depth,
-		FDIPProbes:        true,
-	}
 }
 
 // TwoLevelBTB is the Section II-C alternative Boomerang is positioned
@@ -276,22 +252,4 @@ func (p *PerfectBTB) Handle(pc isa.Addr, now int64) (btb.Entry, int64, bool) {
 // All returns the six schemes of Figures 7-9 in presentation order.
 func All() []Config {
 	return []Config{Base(), NextLine(), DIP(), FDIP(), SHIFT(), Confluence(), Boomerang()}
-}
-
-// Compared returns the prefetching schemes (everything but Base).
-func Compared() []Config {
-	return []Config{NextLine(), DIP(), FDIP(), SHIFT(), Confluence(), Boomerang()}
-}
-
-// ByName finds a scheme in All plus the limit studies, PIF, and the
-// hierarchical-BTB alternatives.
-func ByName(name string) (Config, bool) {
-	candidates := append(All(), PIF(), PerfectL1I(), PerfectCF(),
-		TwoLevelBTB(), PhantomBTBScheme())
-	for _, s := range candidates {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Config{}, false
 }

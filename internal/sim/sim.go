@@ -430,29 +430,15 @@ func MustRun(spec Spec) Result {
 	return r
 }
 
-// Speedup returns r's performance relative to base (same workload).
-func Speedup(base, r Result) float64 {
-	if base.IPC == 0 {
-		return 0
-	}
-	return r.IPC / base.IPC
-}
-
-// Coverage returns the fraction of the baseline's front-end stall cycles
-// that r eliminated — the paper's "stall cycles covered" metric. Stall
-// cycles are normalised per retired instruction so windows of different
-// lengths compare fairly. When the baseline barely stalls (e.g. an LLC
-// latency below the pipelined L1-I hit time) there is nothing to cover and
-// the metric is defined as zero rather than a noise-amplified ratio.
-func Coverage(base, r Result) float64 {
-	return CoverageFromStalls(base.Stats.FetchStallCycles, base.Stats.RetiredInstrs,
-		r.Stats.FetchStallCycles, r.Stats.RetiredInstrs)
-}
-
-// CoverageFromStalls is the coverage metric on raw counters. It is the one
-// definition of the formula — the public boomsim package computes coverage
-// from its own Result type through this function, so the noise floor and
-// normalisation stay calibrated in exactly one place.
+// CoverageFromStalls returns the fraction of the baseline's front-end stall
+// cycles the candidate eliminated — the paper's "stall cycles covered"
+// metric. Stall cycles are normalised per retired instruction so windows of
+// different lengths compare fairly. When the baseline barely stalls (e.g. an
+// LLC latency below the pipelined L1-I hit time) there is nothing to cover
+// and the metric is defined as zero rather than a noise-amplified ratio.
+// It is the one definition of the formula — the public boomsim package
+// computes coverage from its own Result type through this function, so the
+// noise floor and normalisation stay calibrated in exactly one place.
 func CoverageFromStalls(baseStalls, baseInstrs, stalls, instrs uint64) float64 {
 	const floor = 0.002 // stall cycles per instruction
 	b := stallsPerInstr(baseStalls, baseInstrs)

@@ -21,6 +21,15 @@ func fastProfile(name string) workload.Profile {
 	return p
 }
 
+// speedup and coverage are the paper's two headline ratios of a run
+// against its baseline on the same workload.
+func speedup(base, r Result) float64 { return r.IPC / base.IPC }
+
+func coverage(base, r Result) float64 {
+	return CoverageFromStalls(base.Stats.FetchStallCycles, base.Stats.RetiredInstrs,
+		r.Stats.FetchStallCycles, r.Stats.RetiredInstrs)
+}
+
 func fastSpec(s scheme.Scheme, w workload.Profile) Spec {
 	spec := DefaultSpec(s, w)
 	spec.WarmInstrs = 100_000
@@ -54,10 +63,10 @@ func TestSchemeOrdering(t *testing.T) {
 	fdip := MustRun(fastSpec(scheme.FDIP(), w))
 	boom := MustRun(fastSpec(scheme.Boomerang(), w))
 
-	if s := Speedup(base, fdip); s <= 1.0 {
+	if s := speedup(base, fdip); s <= 1.0 {
 		t.Fatalf("FDIP speedup %v <= 1", s)
 	}
-	if s := Speedup(base, boom); s <= 1.0 {
+	if s := speedup(base, boom); s <= 1.0 {
 		t.Fatalf("Boomerang speedup %v <= 1", s)
 	}
 	if boom.IPC <= fdip.IPC {
@@ -97,11 +106,11 @@ func TestCoverageMetric(t *testing.T) {
 	w := fastProfile("Zeus")
 	base := MustRun(fastSpec(scheme.Base(), w))
 	fdip := MustRun(fastSpec(scheme.FDIP(), w))
-	cov := Coverage(base, fdip)
+	cov := coverage(base, fdip)
 	if cov < 0.2 || cov > 1 {
 		t.Fatalf("FDIP coverage %v out of plausible range", cov)
 	}
-	if Coverage(base, base) != 0 {
+	if coverage(base, base) != 0 {
 		t.Fatal("self-coverage must be 0")
 	}
 }
@@ -111,7 +120,7 @@ func TestPerfectSchemesBound(t *testing.T) {
 	base := MustRun(fastSpec(scheme.Base(), w))
 	pl1 := MustRun(fastSpec(scheme.PerfectL1I(), w))
 	pcf := MustRun(fastSpec(scheme.PerfectCF(), w))
-	if Speedup(base, pl1) <= 1.0 {
+	if speedup(base, pl1) <= 1.0 {
 		t.Fatal("perfect L1-I must speed up the baseline")
 	}
 	if pcf.IPC <= pl1.IPC {
@@ -196,18 +205,6 @@ func TestRunCMP(t *testing.T) {
 	if res.PerCore[0].Stats.Cycles == res.PerCore[1].Stats.Cycles &&
 		res.PerCore[0].Stats.TotalSquashes() == res.PerCore[1].Stats.TotalSquashes() {
 		t.Fatal("per-core runs look identical; walk seeds not applied")
-	}
-}
-
-func TestSchemeByNameComplete(t *testing.T) {
-	for _, name := range []string{"Base", "Next Line", "DIP", "FDIP", "PIF", "SHIFT",
-		"Confluence", "Boomerang", "Perfect L1-I", "Perfect L1-I + BTB"} {
-		if _, ok := scheme.ByName(name); !ok {
-			t.Errorf("scheme %q not found", name)
-		}
-	}
-	if _, ok := scheme.ByName("nonsense"); ok {
-		t.Error("bogus scheme name resolved")
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
+	"boomsim/internal/workload"
 )
 
 // requireResultsEqual fails unless a and b are byte-identical outcomes:
@@ -112,6 +114,40 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 			requireResultsEqual(t, s.Name+" refork-vs-fresh",
 				collectResult(spec, fork2), collectResult(spec, fresh))
 		})
+	}
+}
+
+// TestConcurrentForksOfOneMaster runs two forks of one warmed master at the
+// same time, as the warm arena does for concurrent cells of one
+// configuration. Forks share no mutable state, so both must produce the same
+// stats (and -race must stay quiet). Base behind a 600-cycle LLC spends most
+// cycles fast-forwarding, which drives the backend's FastRetire scratch.
+func TestConcurrentForksOfOneMaster(t *testing.T) {
+	w, ok := workload.ByName("Apache")
+	if !ok {
+		t.Fatal("no Apache workload")
+	}
+	w.Gen.FootprintKB = 768
+	spec := DefaultSpec(scheme.Base(), w)
+	spec.Cfg = spec.Cfg.WithLLCLatency(600)
+	spec.WarmInstrs = 50_000
+	master, err := WarmInstance(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := []*scheme.Instance{master.Clone(), master.Clone()}
+	stats := make([]frontend.Stats, len(forks))
+	var wg sync.WaitGroup
+	for i, fork := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i] = fork.Engine.Run(100_000, 0)
+		}()
+	}
+	wg.Wait()
+	if stats[0] != stats[1] {
+		t.Fatalf("concurrent forks diverged:\n a=%+v\n b=%+v", stats[0], stats[1])
 	}
 }
 

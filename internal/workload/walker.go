@@ -6,30 +6,11 @@ package workload
 
 import "boomsim/internal/program"
 
-// Step is one committed basic block of oracle execution.
-type Step = program.Step
-
 // Walker deterministically executes a code image along the architecturally
 // correct path.
 type Walker = program.Walker
 
-// DynamicStats aggregates properties of an executed window.
-type DynamicStats = program.DynamicStats
-
-// MaxCallDepth is the walker's call-depth safety bound.
-const MaxCallDepth = program.MaxCallDepth
-
 // NewWalker starts execution at the image's root dispatcher.
 func NewWalker(img *program.Image, seed uint64) *Walker {
 	return program.NewWalker(img, seed)
-}
-
-// Measure executes steps blocks and aggregates dynamic statistics.
-func Measure(w *Walker, steps uint64, distBuckets int) DynamicStats {
-	return program.Measure(w, steps, distBuckets)
-}
-
-// CDF converts a histogram into a cumulative distribution in [0,1].
-func CDF(h []uint64) []float64 {
-	return program.CDF(h)
 }

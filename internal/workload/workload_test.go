@@ -235,7 +235,7 @@ func TestEntryClassConsistency(t *testing.T) {
 func TestMeasureBasics(t *testing.T) {
 	img := testImage(t, 15)
 	w := NewWalker(img, 17)
-	st := Measure(w, 100000, 9)
+	st := program.Measure(w, 100000, 9)
 	if st.Steps != 100000 || st.Branches != st.Steps {
 		t.Fatal("every step ends in a branch")
 	}
@@ -255,8 +255,8 @@ func TestTakenCondDistanceShape(t *testing.T) {
 	// branches land within 4 cache blocks of the branch.
 	img := testImage(t, 17)
 	w := NewWalker(img, 19)
-	st := Measure(w, 300000, 9)
-	cdf := CDF(st.TakenCondDist)
+	st := program.Measure(w, 300000, 9)
+	cdf := program.CDF(st.TakenCondDist)
 	if st.TakenConds == 0 {
 		t.Fatal("no taken conditionals")
 	}
@@ -265,13 +265,37 @@ func TestTakenCondDistanceShape(t *testing.T) {
 	}
 }
 
+// TestFig4 checks Figure 4's row as `boomtrace -dynamic` prints it for the
+// registered server workloads (0..7 and 8+ blocks, at a 256 KB footprint).
+func TestFig4(t *testing.T) {
+	for _, name := range []string{"Apache", "DB2"} {
+		p, ok := ByName(name)
+		if !ok {
+			t.Fatalf("unknown workload %s", name)
+		}
+		p.Gen.FootprintKB = 256
+		img, err := p.Image(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := program.Measure(NewWalker(img, 1), 200_000, 9)
+		cdf := program.CDF(st.TakenCondDist)
+		if cdf4 := cdf[4]; cdf4 < 0.8 {
+			t.Fatalf("%s: CDF(4 blocks)=%v, paper says ~0.92", name, cdf4)
+		}
+		if last := cdf[8]; last < 0.999 {
+			t.Fatalf("%s: CDF must reach 1 at 8+, got %v", name, last)
+		}
+	}
+}
+
 func TestCDF(t *testing.T) {
 	h := []uint64{2, 3, 5}
-	cdf := CDF(h)
+	cdf := program.CDF(h)
 	if cdf[0] != 0.2 || cdf[1] != 0.5 || cdf[2] != 1.0 {
 		t.Fatalf("CDF = %v", cdf)
 	}
-	empty := CDF([]uint64{0, 0})
+	empty := program.CDF([]uint64{0, 0})
 	if empty[1] != 0 {
 		t.Fatal("empty CDF should be all zeros")
 	}
@@ -325,7 +349,7 @@ func TestSPECLikeProfile(t *testing.T) {
 		t.Fatalf("SPEC-like text %d KB, want < 160 KB", img.Bytes()/1024)
 	}
 	w := NewWalker(img, 1)
-	st := Measure(w, 100000, 9)
+	st := program.Measure(w, 100000, 9)
 	if st.TouchedLines*64 > 48*1024 {
 		t.Fatalf("SPEC-like dynamic footprint %d KB, want < 48 KB", st.TouchedLines*64/1024)
 	}

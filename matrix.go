@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	"boomsim/internal/experiments"
 	"boomsim/internal/obs"
+	"boomsim/internal/par"
 )
 
 // MatrixOption configures a RunMatrix call.
@@ -109,7 +109,7 @@ func RunMatrix(ctx context.Context, sims []*Simulation, opts ...MatrixOption) ([
 			})
 		}
 	}
-	ctxErr := experiments.ForEach(ctx, workers, len(sims), run)
+	ctxErr := par.ForEach(ctx, workers, len(sims), run)
 
 	// Genuine simulation failures outrank cancellation noise: report the
 	// lowest-index one so the same failure surfaces at any parallelism.

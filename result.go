@@ -166,8 +166,8 @@ func Speedup(base, r Result) float64 {
 // Stall cycles are normalised per retired instruction so windows of
 // different lengths compare fairly; when the baseline barely stalls the
 // metric is defined as zero rather than a noise-amplified ratio. The
-// formula is shared with the internal experiment harness, so figures and
-// public-API output always agree.
+// experiment engine's coverage metric uses the same formula (a test
+// cross-checks the two), so spec reports and public-API output agree.
 func Coverage(base, r Result) float64 {
 	return sim.CoverageFromStalls(base.FetchStallCycles, base.Instructions,
 		r.FetchStallCycles, r.Instructions)
