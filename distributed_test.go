@@ -198,10 +198,13 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
 			if cl.Stats().JobsCompleted >= 2 {
-				// Sever live connections and refuse new ones: the worker
-				// is gone as far as the coordinator can tell.
-				workers[1].http.CloseClientConnections()
+				// Refuse new connections, then sever live ones: the worker
+				// is gone as far as the coordinator can tell. In the other
+				// order a dispatch landing between the two opens a fresh
+				// keep-alive connection that survives, and the victim
+				// quietly finishes its shard.
 				workers[1].http.Listener.Close()
+				workers[1].http.CloseClientConnections()
 				return
 			}
 			time.Sleep(500 * time.Microsecond)

@@ -41,10 +41,6 @@ func TestLookupInsert(t *testing.T) {
 	if !c.Lookup(42, 2) {
 		t.Fatal("miss after insert")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d, want 1/1", hits, misses)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -78,16 +74,6 @@ func TestInsertExistingRefreshes(t *testing.T) {
 	if !c.Contains(a) {
 		t.Fatal("refreshed line was evicted")
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := NewSetAssoc(4, 4)
-	c.Insert(7, 1)
-	c.Invalidate(7)
-	if c.Contains(7) {
-		t.Fatal("line present after invalidate")
-	}
-	c.Invalidate(7) // idempotent
 }
 
 func TestContainsNoLRUEffect(t *testing.T) {
@@ -261,6 +247,40 @@ func TestLLCReservationShrinksLLC(t *testing.T) {
 	carved := NewHierarchy(testCfg(), 4096)
 	if carved.llc.Lines() >= full.llc.Lines() {
 		t.Fatal("reservation did not shrink LLC")
+	}
+}
+
+// TestLLCStorageTracksOccupancy pins the tag store's memory bound: an LLC
+// preloaded with an image that leaves every set at most a few lines deep
+// keeps only min(assoc, 2) slots per set, and grows to its full 16 ways only
+// once the image fills sets beyond 8 lines. Every warm master and fork
+// carries this array, so it sets their size.
+func TestLLCStorageTracksOccupancy(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		lines     int
+		slotsEach int
+	}{
+		{"512KB image", 8192, 2},
+		{"5MB image", 81920, 16},
+	} {
+		h := NewHierarchy(config.Default(), 0)
+		img := make([]Line, tc.lines)
+		for i := range img {
+			img[i] = Line(i)
+		}
+		h.WarmLLC(img)
+		if got := len(h.llc.ways) / h.llc.Sets(); got != tc.slotsEach {
+			t.Errorf("%s: LLC holds %d ways per set, want %d", tc.name, got, tc.slotsEach)
+		}
+		if h.llc.Lines() != config.Default().LLCSizeKB*1024/64 {
+			t.Errorf("%s: Lines() = %d, want the configured capacity", tc.name, h.llc.Lines())
+		}
+		for _, l := range []Line{0, Line(tc.lines - 1)} {
+			if !h.llc.Contains(l) {
+				t.Errorf("%s: warmed line %d missing", tc.name, l)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package cache
 
-// Clone returns an independent deep copy of the cache: same contents, LRU
-// state and counters, no shared storage.
+// Clone returns an independent deep copy of the cache: same contents and
+// LRU state, no shared storage.
 func (c *SetAssoc) Clone() *SetAssoc {
 	n := *c
 	n.ways = append(make([]way, 0, len(c.ways)), c.ways...)
+	n.fill = append(make([]uint8, 0, len(c.fill)), c.fill...)
 	return &n
 }
 

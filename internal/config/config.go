@@ -124,11 +124,13 @@ func (c Core) Validate() error {
 		{c.ROBSize >= c.RetireWidth, "ROBSize must cover at least one retire group"},
 		{c.FTQDepth > 0, "FTQDepth must be positive"},
 		{c.L1ISizeKB > 0 && c.L1IAssoc > 0, "L1I geometry must be positive"},
+		{c.L1IAssoc <= 255, "L1IAssoc must be at most 255"},
 		{c.L1ILatency >= 1, "L1ILatency must be >= 1"},
 		{c.PrefetchBufEntries >= 0, "PrefetchBufEntries must be >= 0"},
 		{c.MSHREntries > 0, "MSHREntries must be positive"},
 		{c.LLCLatency >= 1, "LLCLatency must be >= 1"},
 		{c.LLCSizeKB > 0 && c.LLCAssoc > 0, "LLC geometry must be positive"},
+		{c.LLCAssoc <= 255, "LLCAssoc must be at most 255"},
 		{c.MemLatency >= 0, "MemLatency must be >= 0"},
 		{c.LLCPortOccupancy >= 0, "LLCPortOccupancy must be >= 0"},
 		{c.BTBEntries > 0, "BTBEntries must be positive"},

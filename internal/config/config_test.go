@@ -72,10 +72,12 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		func(c *Core) { c.ROBSize = 1 },
 		func(c *Core) { c.FTQDepth = 0 },
 		func(c *Core) { c.L1ISizeKB = 0 },
+		func(c *Core) { c.L1IAssoc = 256 },
 		func(c *Core) { c.L1ILatency = 0 },
 		func(c *Core) { c.MSHREntries = 0 },
 		func(c *Core) { c.LLCLatency = 0 },
 		func(c *Core) { c.LLCSizeKB = 0 },
+		func(c *Core) { c.LLCAssoc = 256 },
 		func(c *Core) { c.MemLatency = -5 },
 		func(c *Core) { c.BTBEntries = 0 },
 		func(c *Core) { c.BTBAssoc = 0 },

@@ -37,13 +37,18 @@ import (
 // Like the image cache above it, the arena is bounded LRU with a sync.Once
 // per entry: concurrent runs of the same configuration warm one master
 // between them, and a parameter sweep cannot grow the arena monotonically.
-// Masters are a few MB each (dominated by the LLC tag array), so the bound
-// also caps resident memory (~1 GB worst case). It is sized so a full
-// 18-scheme x 7-workload matrix (126 entries, the sweep shape the paper's
-// figures and this repo's benchmarks re-run most) stays resident even with
-// dozens of other warmed configurations already in the arena — at a tighter
-// bound a process mixing a full matrix with other sweeps evicts matrix
-// masters mid-sweep and rebuilds them every pass.
+// The bound also caps resident memory. Measured heap per master with Table
+// I's 8 MB LLC: 0.55 MB for Boomerang or FDIP on a 512 KB image, 1.7 MB for
+// Confluence (its temporal prefetcher's history), and 3.6 MB for Boomerang
+// on DB2's 5 MB image, whose text fills LLC sets past 8 ways so the tag
+// store holds all 16 (cache.SetAssoc sizes it by occupancy). A full arena
+// of the largest measured, Confluence on DB2 at 4.7 MB, is about 1.2 GB.
+// The bound is sized so a full 18-scheme x 7-workload matrix (126 entries,
+// the sweep shape the paper's figures and this repo's benchmarks re-run
+// most) stays resident even with dozens of other warmed configurations
+// already in the arena — at a tighter bound a process mixing a full matrix
+// with other sweeps evicts matrix masters mid-sweep and rebuilds them every
+// pass.
 const warmArenaEntries = 256
 
 var (

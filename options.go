@@ -130,8 +130,9 @@ func WithMaxCycles(cycles int64) Option {
 // per configuration rather than once per run. Results are byte-identical
 // either way (a fork is indistinguishable from a fresh warm), which is why
 // reuse does not participate in Key: it is purely a wall-clock and memory
-// trade. Disable it to bound resident memory (each cached snapshot holds a
-// few MB of warmed cache state) or when auditing the simulator itself.
+// trade. Disable it to bound resident memory (each cached snapshot holds
+// 0.5 to 5 MB of warmed state, depending on scheme and image size) or when
+// auditing the simulator itself.
 func WithWarmReuse(on bool) Option {
 	return func(s *Simulation) error {
 		s.warmReuse = on
