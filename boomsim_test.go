@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -110,12 +111,30 @@ func TestOptionValidation(t *testing.T) {
 		{"negative LLC latency", boomsim.WithLLCLatency(-1)},
 		{"unknown predictor", boomsim.WithPredictor("oracle")},
 		{"negative footprint", boomsim.WithFootprintKB(-1)},
+		{"footprint below the generator's minimum", boomsim.WithFootprintKB(8)},
+		{"footprint above 16 MB", boomsim.WithFootprintKB(16<<10 + 1)},
+		{"BTB above 1M entries", boomsim.WithBTBEntries(1<<20 + 1)},
+		{"BTB too large to allocate", boomsim.WithBTBEntries(math.MaxInt)},
+		{"LLC latency above 4096 cycles", boomsim.WithLLCLatency(4097)},
 		{"negative max cycles", boomsim.WithMaxCycles(-1)},
 		{"nil progress", boomsim.WithProgress(10, nil)},
 	}
 	for _, c := range cases {
 		if _, err := boomsim.New(c.opt); !errors.Is(err, boomsim.ErrInvalidOption) {
 			t.Errorf("%s: New() = %v, want ErrInvalidOption", c.name, err)
+		}
+	}
+
+	// The bounds themselves are accepted.
+	for name, opt := range map[string]boomsim.Option{
+		"default footprint": boomsim.WithFootprintKB(0),
+		"16 KB footprint":   boomsim.WithFootprintKB(16),
+		"16 MB footprint":   boomsim.WithFootprintKB(16 << 10),
+		"1M-entry BTB":      boomsim.WithBTBEntries(1 << 20),
+		"4096-cycle LLC":    boomsim.WithLLCLatency(4096),
+	} {
+		if _, err := boomsim.New(opt); err != nil {
+			t.Errorf("%s: New() = %v, want it accepted", name, err)
 		}
 	}
 }

@@ -151,6 +151,20 @@ func TestParseSchemeConfigRejectsGarbage(t *testing.T) {
 		`{"name":"x","miss_policy":{"kind":"boomerang","two_level":{"l2_entries":1,"l2_assoc":1}}}`, // mismatched params
 		`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":16,"index_entries":8,"region_lines":4,"lookahead":8,"issue_rate":-1}}}`, // silently-disabling issue rate
 		`{"ftq_depth":8}`, // no name
+		// Sizes that would panic, spin or exhaust memory in Build or the run.
+		`{"name":"x","btb_entries":4611686018427387904}`,
+		`{"name":"x","btb_entries":1048577}`,
+		`{"name":"x","ftq_depth":1025}`,
+		`{"name":"x","prefetcher":{"kind":"next-line","degree":1025}}`,
+		`{"name":"x","prefetcher":{"kind":"dip","table_entries":4611686018427387904}}`,
+		`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":4611686018427387904,"index_entries":8,"region_lines":4,"lookahead":8}}}`,
+		`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":16,"index_entries":1048577,"region_lines":4,"lookahead":8}}}`,
+		`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":16,"index_entries":8,"region_lines":4,"lookahead":1025}}}`,
+		`{"name":"x","miss_policy":{"kind":"boomerang","boomerang":{"throttle_n":1025,"max_scan_lines":4}}}`,
+		`{"name":"x","miss_policy":{"kind":"boomerang","boomerang":{"max_scan_lines":4,"predecode_latency":4097}}}`,
+		`{"name":"x","miss_policy":{"kind":"two-level","two_level":{"l2_entries":4611686018427387904,"l2_assoc":4}}}`,
+		`{"name":"x","miss_policy":{"kind":"two-level","two_level":{"l2_entries":4096,"l2_assoc":1025}}}`,
+		`{"name":"x","miss_policy":{"kind":"two-level","two_level":{"l2_entries":4096,"l2_assoc":4,"l2_latency":4097}}}`,
 	} {
 		if _, err := boomsim.ParseSchemeConfig([]byte(bad)); err == nil {
 			t.Errorf("ParseSchemeConfig(%s) accepted garbage", bad)

@@ -112,6 +112,15 @@ func (c Core) WithLLCLatency(cycles int) Core {
 	return c
 }
 
+// Upper bounds Validate puts on what a caller may request: far above every
+// configuration the paper or this repository simulates (at most 32,768 BTB
+// entries, a 600-cycle LLC), and far below a BTB whose allocation has no
+// limit or an LLC so slow that a run stops retiring instructions.
+const (
+	maxBTBEntries = 1 << 20
+	maxLLCLatency = 1 << 12
+)
+
 // Validate reports the first nonsensical parameter, if any.
 func (c Core) Validate() error {
 	checks := []struct {
@@ -128,12 +137,12 @@ func (c Core) Validate() error {
 		{c.L1ILatency >= 1, "L1ILatency must be >= 1"},
 		{c.PrefetchBufEntries >= 0, "PrefetchBufEntries must be >= 0"},
 		{c.MSHREntries > 0, "MSHREntries must be positive"},
-		{c.LLCLatency >= 1, "LLCLatency must be >= 1"},
+		{c.LLCLatency >= 1 && c.LLCLatency <= maxLLCLatency, "LLCLatency must be in [1, 4096]"},
 		{c.LLCSizeKB > 0 && c.LLCAssoc > 0, "LLC geometry must be positive"},
 		{c.LLCAssoc <= 255, "LLCAssoc must be at most 255"},
 		{c.MemLatency >= 0, "MemLatency must be >= 0"},
 		{c.LLCPortOccupancy >= 0, "LLCPortOccupancy must be >= 0"},
-		{c.BTBEntries > 0, "BTBEntries must be positive"},
+		{c.BTBEntries > 0 && c.BTBEntries <= maxBTBEntries, "BTBEntries must be in [1, 1048576]"},
 		{c.BTBAssoc > 0, "BTBAssoc must be positive"},
 		{c.BTBPrefetchBufEntries >= 0, "BTBPrefetchBufEntries must be >= 0"},
 		{c.RASDepth > 0, "RASDepth must be positive"},

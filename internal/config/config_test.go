@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaultValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -76,10 +79,13 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		func(c *Core) { c.L1ILatency = 0 },
 		func(c *Core) { c.MSHREntries = 0 },
 		func(c *Core) { c.LLCLatency = 0 },
+		func(c *Core) { c.LLCLatency = 4097 },
 		func(c *Core) { c.LLCSizeKB = 0 },
 		func(c *Core) { c.LLCAssoc = 256 },
 		func(c *Core) { c.MemLatency = -5 },
 		func(c *Core) { c.BTBEntries = 0 },
+		func(c *Core) { c.BTBEntries = 1<<20 + 1 },
+		func(c *Core) { c.BTBEntries = math.MaxInt },
 		func(c *Core) { c.BTBAssoc = 0 },
 		func(c *Core) { c.RASDepth = 0 },
 		func(c *Core) { c.PrefetchProbesPerCycle = 0 },

@@ -128,6 +128,22 @@ type TwoLevelConfig struct {
 // knownPredictors matches newDirection's accepted names.
 var knownPredictors = map[string]bool{"": true, "tage": true, "bimodal": true, "never-taken": true}
 
+// Upper bounds on what a config may ask for. Each lies far above every value
+// the paper or this repository uses (at most 32,768 entries, 64 FTQ slots,
+// 8 throttled blocks, single-digit latencies) and far below what would make
+// Build allocate without limit or a run stop retiring instructions.
+const (
+	// maxEntries bounds every table: BTB, prefetcher history and index,
+	// DIP table, second BTB level.
+	maxEntries = 1 << 20
+	// maxPerEvent bounds FTQ depth, second-level ways, and the lines or
+	// records a prefetcher or Boomerang's throttle handles per event.
+	maxPerEvent = 1 << 10
+	// maxLatency bounds the cycles one predecode or second-level access
+	// takes.
+	maxLatency = 1 << 12
+)
+
 // Validate reports the first problem that would make Build panic or build a
 // nonsensical machine. It is the gate every external entry point (registry
 // registration, JSON scheme files, wire requests) passes configs through.
@@ -138,11 +154,11 @@ func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("scheme config has no name")
 	}
-	if c.FTQDepth < 0 {
-		return fail("ftq_depth must be >= 0, got %d", c.FTQDepth)
+	if c.FTQDepth < 0 || c.FTQDepth > maxPerEvent {
+		return fail("ftq_depth must be in [0, %d], got %d", maxPerEvent, c.FTQDepth)
 	}
-	if c.BTBEntries < 0 {
-		return fail("btb_entries must be >= 0, got %d", c.BTBEntries)
+	if c.BTBEntries < 0 || c.BTBEntries > maxEntries {
+		return fail("btb_entries must be in [0, %d], got %d", maxEntries, c.BTBEntries)
 	}
 	if c.LLCReservedKB < 0 {
 		return fail("llc_reserved_kb must be >= 0, got %d", c.LLCReservedKB)
@@ -156,17 +172,21 @@ func (c Config) Validate() error {
 	if p := c.Prefetcher; p != nil {
 		switch p.Kind {
 		case PrefetchNextLine:
-			if p.Degree < 0 {
-				return fail("next-line degree must be >= 0, got %d", p.Degree)
+			if p.Degree < 0 || p.Degree > maxPerEvent {
+				return fail("next-line degree must be in [0, %d], got %d", maxPerEvent, p.Degree)
 			}
 		case PrefetchDIP:
-			if p.TableEntries < 0 {
-				return fail("dip table_entries must be >= 0, got %d", p.TableEntries)
+			if p.TableEntries < 0 || p.TableEntries > maxEntries {
+				return fail("dip table_entries must be in [0, %d], got %d", maxEntries, p.TableEntries)
 			}
 		case PrefetchTemporal:
 			if t := p.Temporal; t != nil {
 				if t.HistoryEntries <= 0 || t.IndexEntries <= 0 || t.RegionLines <= 0 || t.Lookahead <= 0 {
 					return fail("temporal prefetcher needs positive history_entries, index_entries, region_lines and lookahead")
+				}
+				if t.HistoryEntries > maxEntries || t.IndexEntries > maxEntries || t.Lookahead > maxPerEvent {
+					return fail("temporal prefetcher needs history_entries and index_entries <= %d, lookahead <= %d",
+						maxEntries, maxPerEvent)
 				}
 				// A negative issue_rate would silently disable prefetching
 				// (budget exhausted before the first line); negative
@@ -190,6 +210,9 @@ func (c Config) Validate() error {
 				if b.ThrottleN < 0 || b.MaxScanLines <= 0 || b.PredecodeLatency < 0 || b.PrefetchBufferEntries < 0 {
 					return fail("boomerang policy needs throttle_n >= 0, max_scan_lines > 0, predecode_latency >= 0, prefetch_buffer_entries >= 0")
 				}
+				if b.ThrottleN > maxPerEvent || b.PredecodeLatency > maxLatency {
+					return fail("boomerang policy needs throttle_n <= %d, predecode_latency <= %d", maxPerEvent, maxLatency)
+				}
 			}
 			if m.TwoLevel != nil || m.L2InLLC {
 				return fail("two-level parameters set on a boomerang miss policy")
@@ -199,8 +222,14 @@ func (c Config) Validate() error {
 				if t.L2Entries <= 0 || t.L2Assoc <= 0 {
 					return fail("two-level policy needs positive l2_entries and l2_assoc")
 				}
+				if t.L2Entries > maxEntries || t.L2Assoc > maxPerEvent {
+					return fail("two-level policy needs l2_entries <= %d, l2_assoc <= %d", maxEntries, maxPerEvent)
+				}
 				if t.L2Latency < 0 || t.PreloadLines < 0 || t.TemporalGroup < 0 {
 					return fail("two-level policy latencies and preload sizes must be >= 0")
+				}
+				if t.L2Latency > maxLatency {
+					return fail("two-level policy needs l2_latency <= %d, got %d", maxLatency, t.L2Latency)
 				}
 			}
 			if m.Boomerang != nil {

@@ -5,7 +5,10 @@
 // functions of their configuration, so every completed run lands in a
 // content-addressed LRU cache keyed on boomsim's configuration Fingerprint,
 // and identical requests arriving while a run is in flight collapse onto it
-// (singleflight) instead of re-simulating. Admission is bounded: at most
+// (singleflight) instead of re-simulating. A cache entry also holds its
+// /v1/run answer, encoded once when the entry is inserted, so a hit costs
+// decoding the request, fingerprinting it and copying those bytes; it never
+// re-encodes the Result. Admission is bounded: at most
 // QueueDepth distinct flights may be queued or running, the excess is
 // rejected with 429, and at most Workers simulations execute concurrently.
 // Every request carries a deadline; an abandoned flight (all waiters gone,
@@ -18,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -325,21 +329,45 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, s.statusFor(err), err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
+	key := sim.Fingerprint()
 	start := time.Now()
-	result, cached, err := s.runOne(ctx, sim)
-	if err != nil {
-		s.cfg.Logger.Warn("server: run failed",
-			"key", sim.Fingerprint(), "trace_id", req.TraceID, "err", err)
-		writeError(w, s.statusFor(err), err)
-		return
+	entry, cached := s.cacheGet(key)
+	if cached {
+		s.m.cacheHits.Add(1)
+	} else {
+		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+		defer cancel()
+		if entry.result, err = s.runFlight(ctx, sim, key); err != nil {
+			s.cfg.Logger.Warn("server: run failed",
+				"key", key, "trace_id", req.TraceID, "err", err)
+			writeError(w, s.statusFor(err), err)
+			return
+		}
 	}
 	s.cfg.Logger.Debug("server: run completed",
-		"key", sim.Fingerprint(), "cached", cached,
+		"key", key, "cached", cached,
 		"ms", time.Since(start).Milliseconds(), "trace_id", req.TraceID)
-	writeJSON(w, http.StatusOK, RunResponse{Key: sim.Fingerprint(), Cached: cached, Result: result})
+	if cached {
+		// The bytes encoded when the entry was inserted: no Result encoding.
+		writeBody(w, http.StatusOK, entry.hit)
+		return
+	}
+	writeJSON(w, http.StatusOK, RunResponse{Key: key, Cached: false, Result: entry.result})
+}
+
+// cachedRun is one result-cache entry: the result, and hit, the exact
+// /v1/run body a cache hit answers with, encoded once when the entry is
+// inserted so hits never re-encode.
+type cachedRun struct {
+	result boomsim.Result
+	hit    []byte
+}
+
+// newCachedRun builds the entry for key's result. A result that cannot be
+// encoded leaves hit empty, the body writeJSON gives its miss.
+func newCachedRun(key string, r boomsim.Result) cachedRun {
+	hit, _ := encodeJSON(RunResponse{Key: key, Cached: true, Result: r})
+	return cachedRun{result: r, hit: hit}
 }
 
 // cacheGet resolves key through the in-memory LRU, then the durable store.
@@ -347,23 +375,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // Store reads are digest-verified by the store itself; an entry that cannot
 // be decoded into a Result (version skew) is treated as a miss and will be
 // recomputed and overwritten.
-func (s *Server) cacheGet(key string) (boomsim.Result, bool) {
+func (s *Server) cacheGet(key string) (cachedRun, bool) {
 	if v, ok := s.cache.Get(key); ok {
-		return v.(boomsim.Result), true
+		return v.(cachedRun), true
 	}
 	if s.store == nil {
-		return boomsim.Result{}, false
+		return cachedRun{}, false
 	}
 	raw, ok := s.store.Get(key)
 	if !ok {
-		return boomsim.Result{}, false
+		return cachedRun{}, false
 	}
 	var r boomsim.Result
 	if err := json.Unmarshal(raw, &r); err != nil {
-		return boomsim.Result{}, false
+		return cachedRun{}, false
 	}
-	s.cache.Add(key, r)
-	return r, true
+	e := newCachedRun(key, r)
+	s.cache.Add(key, e)
+	return e, true
 }
 
 // cacheAdd records a computed result in the LRU and writes it through to
@@ -371,7 +400,7 @@ func (s *Server) cacheGet(key string) (boomsim.Result, bool) {
 // in-memory result is unaffected and the failure is visible in the store's
 // stats.
 func (s *Server) cacheAdd(key string, r boomsim.Result) {
-	s.cache.Add(key, r)
+	s.cache.Add(key, newCachedRun(key, r))
 	if s.store == nil {
 		return
 	}
@@ -382,14 +411,22 @@ func (s *Server) cacheAdd(key string, r boomsim.Result) {
 	_ = s.store.Put(key, raw)
 }
 
-// runOne resolves one simulation through cache → durable store →
-// singleflight → worker pool.
-func (s *Server) runOne(ctx context.Context, sim *boomsim.Simulation) (boomsim.Result, bool, error) {
-	key := sim.Fingerprint()
-	if r, ok := s.cacheGet(key); ok {
+// runOne resolves one simulation, whose Fingerprint is key, through cache →
+// durable store → singleflight → worker pool. cached reports a cache or
+// store hit; a request collapsed onto another's flight reports false.
+func (s *Server) runOne(ctx context.Context, sim *boomsim.Simulation, key string) (r boomsim.Result, cached bool, err error) {
+	if e, ok := s.cacheGet(key); ok {
 		s.m.cacheHits.Add(1)
-		return r, true, nil
+		return e.result, true, nil
 	}
+	r, err = s.runFlight(ctx, sim, key)
+	return r, false, err
+}
+
+// runFlight resolves a key neither the cache nor the store holds: the run
+// joins the key's flight, or starts one that simulates on the worker pool
+// and caches the result.
+func (s *Server) runFlight(ctx context.Context, sim *boomsim.Simulation, key string) (boomsim.Result, error) {
 	s.m.cacheMisses.Add(1)
 	v, _, err := s.flights.do(ctx, s.baseCtx, key, s.admit, s.spawn,
 		func(fctx context.Context) (any, error) {
@@ -402,9 +439,9 @@ func (s *Server) runOne(ctx context.Context, sim *boomsim.Simulation) (boomsim.R
 			return r, nil
 		})
 	if err != nil {
-		return boomsim.Result{}, false, err
+		return boomsim.Result{}, err
 	}
-	return v.(boomsim.Result), false, nil
+	return v.(boomsim.Result), nil
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
@@ -461,8 +498,8 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			results := make([]boomsim.Result, len(sims))
 			var missing []int
 			for i, k := range keys {
-				if r, ok := s.cacheGet(k); ok {
-					results[i] = r
+				if e, ok := s.cacheGet(k); ok {
+					results[i] = e.result
 				} else {
 					missing = append(missing, i)
 				}
@@ -565,11 +602,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				jctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 				defer cancel()
 			}
+			key := sim.Fingerprint()
 			start := time.Now()
-			result, cached, err := s.runOne(jctx, sim)
+			result, cached, err := s.runOne(jctx, sim, key)
 			if err != nil {
 				s.cfg.Logger.Warn("server: job failed",
-					"key", sim.Fingerprint(), "trace_id", req.TraceID, "err", err)
+					"key", key, "trace_id", req.TraceID, "err", err)
 				out[i] = s.jobError(err)
 				return
 			}
@@ -578,7 +616,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				out[i] = s.jobError(err)
 				return
 			}
-			out[i] = wire.JobResult{Key: sim.Fingerprint(), Cached: cached, Result: raw}
+			out[i] = wire.JobResult{Key: key, Cached: cached, Result: raw}
 			if !cached {
 				out[i].SimNanos = time.Since(start).Nanoseconds()
 				if w, ok := warm.Load().(string); ok {
@@ -586,7 +624,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			s.cfg.Logger.Debug("server: job completed",
-				"key", sim.Fingerprint(), "cached", cached, "warm", out[i].Warm,
+				"key", key, "cached", cached, "warm", out[i].Warm,
 				"ms", time.Since(start).Milliseconds(), "trace_id", req.TraceID)
 		}(i, sim, jr.TimeoutMS)
 	}
@@ -607,11 +645,11 @@ func (s *Server) jobError(err error) wire.JobResult {
 func (s *Server) cachedCells(keys []string) ([]boomsim.Result, bool) {
 	results := make([]boomsim.Result, len(keys))
 	for i, k := range keys {
-		r, ok := s.cacheGet(k)
+		e, ok := s.cacheGet(k)
 		if !ok {
 			return nil, false
 		}
-		results[i] = r
+		results[i] = e.result
 	}
 	return results, true
 }
@@ -810,12 +848,30 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// encodeJSON renders v as every response body is written: two-space
+// indent and a trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeJSON answers with v; a value that cannot be encoded leaves the body
+// empty.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := encodeJSON(v)
+	writeBody(w, status, body)
+}
+
+// writeBody answers with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -453,6 +454,14 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown scheme", "/v1/run", RunRequest{Scheme: "no-such"}, http.StatusNotFound},
 		{"unknown workload", "/v1/run", RunRequest{Workload: "no-such"}, http.StatusNotFound},
 		{"invalid option", "/v1/run", RunRequest{BTBEntries: -1}, http.StatusBadRequest},
+		{"BTB too large to allocate", "/v1/run", json.RawMessage(`{"btb_entries":4611686018427387904}`), http.StatusBadRequest},
+		{"footprint below the generator's minimum", "/v1/run", RunRequest{FootprintKB: 8}, http.StatusBadRequest},
+		{"footprint above 16 MB", "/v1/run", RunRequest{FootprintKB: 16<<10 + 1}, http.StatusBadRequest},
+		{"LLC that never answers", "/v1/run", json.RawMessage(`{"llc_latency":4611686018427387904}`), http.StatusBadRequest},
+		{"history too large to allocate", "/v1/run", RunRequest{SchemeConfig: json.RawMessage(
+			`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":4611686018427387904,"index_entries":8,"region_lines":4,"lookahead":8}}}`)},
+			http.StatusBadRequest},
+		{"huge cell", "/v1/matrix", MatrixRequest{Runs: []RunRequest{{BTBEntries: math.MaxInt}}}, http.StatusBadRequest},
 		{"empty matrix", "/v1/matrix", MatrixRequest{}, http.StatusBadRequest},
 		{"bad cell", "/v1/matrix", MatrixRequest{Runs: []RunRequest{{Scheme: "no-such"}}}, http.StatusNotFound},
 		{"oversized matrix", "/v1/matrix", MatrixRequest{Runs: make([]RunRequest, maxMatrixRuns+1)}, http.StatusBadRequest},
@@ -479,6 +488,22 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: status %d, want 405", resp.StatusCode)
+	}
+
+	code, raw := s.post(t, "/v1/jobs", wire.JobsRequest{Jobs: []RunRequest{{BTBEntries: math.MaxInt}}})
+	var jobs wire.JobsResponse
+	if err := json.Unmarshal(raw, &jobs); code != http.StatusOK || err != nil ||
+		len(jobs.Jobs) != 1 || jobs.Jobs[0].Status != http.StatusBadRequest {
+		t.Errorf("huge job: status %d: %s, want one job failed with 400", code, raw)
+	}
+
+	// None of the rejected requests reached a worker: the server still
+	// serves, and the valid run below is the only simulation it starts.
+	if code, raw := s.post(t, "/v1/run", fastRun("Base", "Apache", 81)); code != http.StatusOK {
+		t.Errorf("run after the rejected requests: status %d: %s", code, raw)
+	}
+	if st := s.srv.Stats(); st.SimsStarted != 1 {
+		t.Errorf("%d simulations started, want only the final valid run's", st.SimsStarted)
 	}
 }
 

@@ -47,7 +47,7 @@ func WithWorkload(name string) Option {
 }
 
 // WithBTBEntries overrides the basic-block BTB capacity (default Table I:
-// 2048 entries).
+// 2048 entries; New accepts at most 1<<20).
 func WithBTBEntries(entries int) Option {
 	return func(s *Simulation) error {
 		if entries <= 0 {
@@ -59,7 +59,8 @@ func WithBTBEntries(entries int) Option {
 }
 
 // WithLLCLatency overrides the average LLC round-trip latency in cycles
-// (default Table I: 30 for the 4x4 mesh; Figure 11 uses 18 for a crossbar).
+// (default Table I: 30 for the 4x4 mesh; Figure 11 uses 18 for a crossbar;
+// New accepts at most 4096).
 func WithLLCLatency(cycles int) Option {
 	return func(s *Simulation) error {
 		if cycles <= 0 {
@@ -160,16 +161,26 @@ func WithCycleSkip(on bool) Option {
 
 // WithFootprintKB overrides the workload's calibrated instruction footprint
 // (0 = the profile's own). Smaller footprints generate faster and run
-// hotter; tests and examples use this to stay within CI budgets.
+// hotter; tests and examples use this to stay within CI budgets. An override
+// must lie in [16, 16384] KB: the generator needs 16 KB, and the largest
+// profile is 6 MB, while a 16 MB image already takes most of a second and
+// 84 MB of heap to generate.
 func WithFootprintKB(kb int) Option {
 	return func(s *Simulation) error {
-		if kb < 0 {
-			return fmt.Errorf("%w: footprint must be >= 0 KB, got %d", ErrInvalidOption, kb)
+		if kb != 0 && (kb < minFootprintKB || kb > maxFootprintKB) {
+			return fmt.Errorf("%w: footprint must be 0 (the profile's own) or in [%d, %d] KB, got %d",
+				ErrInvalidOption, minFootprintKB, maxFootprintKB, kb)
 		}
 		s.footprintKB = kb
 		return nil
 	}
 }
+
+// The footprint overrides WithFootprintKB accepts.
+const (
+	minFootprintKB = 16
+	maxFootprintKB = 16 << 10
+)
 
 // WithFlightRecorder attaches the simulator flight recorder: the
 // measurement window is sampled every everyCycles cycles into windowed
