@@ -93,15 +93,16 @@ func TestSchemeConfigIsPureData(t *testing.T) {
 
 // TestServerSpeaksPublicAPIAndWireOnly pins boomsimd's side of the
 // cluster↔server contract: internal/server may depend, module-internally,
-// on nothing but the public boomsim package, the shared wire vocabulary and
-// the durable result store under its cache — in particular never on
-// internal/cluster, so the service and the coordinator only ever meet over
-// HTTP with wire-typed bodies.
+// on nothing but the public boomsim package, the shared wire vocabulary,
+// the durable result store under its cache and the memo leaf the cache is
+// built on — in particular never on internal/cluster, so the service and
+// the coordinator only ever meet over HTTP with wire-typed bodies.
 func TestServerSpeaksPublicAPIAndWireOnly(t *testing.T) {
 	allowed := map[string]bool{
 		"boomsim":                true,
 		"boomsim/internal/wire":  true,
 		"boomsim/internal/store": true,
+		"boomsim/internal/memo":  true,
 	}
 	err := filepath.WalkDir("internal/server", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -121,7 +122,7 @@ func TestServerSpeaksPublicAPIAndWireOnly(t *testing.T) {
 				continue
 			}
 			if (ip == "boomsim" || strings.HasPrefix(ip, "boomsim/")) && !allowed[ip] {
-				t.Errorf("%s imports %s; internal/server may only use the standard library, the public boomsim package and boomsim/internal/wire", path, ip)
+				t.Errorf("%s imports %s; internal/server may only use the standard library, the public boomsim package and boomsim/internal/{wire,store,memo}", path, ip)
 			}
 		}
 		return nil
@@ -172,37 +173,41 @@ func TestClusterSpeaksOnlyWireTypes(t *testing.T) {
 	}
 }
 
-// TestObsIsALeaf pins the observability plane's position in the layering:
+// TestObsIsALeaf pins the standard-library-only leaves of the layering.
 // internal/obs (trace IDs, the span collector, slog helpers) is imported by
-// everything — the root package, the coordinator, the CLIs — so it may
-// import nothing from the module at all. A boomsim import appearing here is
-// an import cycle waiting to happen.
+// everything — the root package, the coordinator, the CLIs — and
+// internal/memo by both the simulator and the server, so neither may import
+// anything from the module: a boomsim import there is an import cycle
+// waiting to happen, and through memo the server could reach simulation
+// internals.
 func TestObsIsALeaf(t *testing.T) {
-	err := filepath.WalkDir("internal/obs", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			ip, err := strconv.Unquote(imp.Path.Value)
+	for _, dir := range []string{"internal/obs", "internal/memo"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
-				continue
+				return err
 			}
-			if ip == "boomsim" || strings.HasPrefix(ip, "boomsim/") {
-				t.Errorf("%s imports %s; internal/obs must stay a standard-library-only leaf", path, ip)
+			if d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return nil
 			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				ip, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					continue
+				}
+				if ip == "boomsim" || strings.HasPrefix(ip, "boomsim/") {
+					t.Errorf("%s imports %s; %s must stay a standard-library-only leaf", path, ip, dir)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walking %s: %v", dir, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walking internal/obs: %v", err)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // a core configuration and measurement window. Construct it with New; the
 // zero value is not usable. A Simulation is immutable after New and safe to
 // run repeatedly and concurrently — every Run measures on private
-// microarchitectural state (built fresh, or forked from a shared warmed
-// snapshot when warm reuse applies; see WithWarmReuse).
+// microarchitectural state: a fork of the process-wide warmed snapshot that
+// runs with the same warm-relevant configuration share, or a fresh warm
+// when no snapshot can serve it.
 type Simulation struct {
 	schemeName   string
 	workloadName string
@@ -41,11 +42,9 @@ type Simulation struct {
 	flightEvery int64
 
 	// warmReuse gates forking warmed state from the process-wide warm arena
-	// (sim package). On by default; WithWarmReuse(false) disables it.
-	warmReuse bool
-
-	// noCycleSkip forces the per-cycle simulation loop (WithCycleSkip(false));
-	// event-horizon cycle skipping is on by default.
+	// (sim package), and noCycleSkip forces the per-cycle simulation loop.
+	// Only tests change them from reuse on, skipping on (export_test.go).
+	warmReuse   bool
 	noCycleSkip bool
 
 	// Resolved at New time so configuration errors surface before any

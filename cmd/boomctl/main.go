@@ -105,7 +105,6 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit results as a JSON array instead of a table")
 		traceOut    = flag.String("trace-out", "", "write the sweep as Chrome trace_event JSON (load in Perfetto or chrome://tracing)")
 		flightEvery = flag.Int64("flight-every", 0, "attach the simulator flight recorder at this epoch granularity in cycles (0 = off; epochs ride on -json results)")
-		noSkip      = flag.Bool("no-skip", false, "disable event-horizon cycle skipping on every cell (per-cycle control sweep; results are byte-identical)")
 		logLevel    = flag.String("log-level", "warn", "coordinator log floor on stderr: debug, info, warn or error")
 	)
 	flag.Parse()
@@ -185,9 +184,6 @@ func main() {
 					}
 					if *flightEvery > 0 {
 						opts = append(opts, boomsim.WithFlightRecorder(*flightEvery))
-					}
-					if *noSkip {
-						opts = append(opts, boomsim.WithCycleSkip(false))
 					}
 					if cell.cfg != nil {
 						opts = append(opts, boomsim.WithSchemeConfig(*cell.cfg))

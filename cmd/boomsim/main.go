@@ -60,7 +60,6 @@ func main() {
 		showStats   = flag.Bool("stats", false, "also print the full per-component statistics registry, grouped by namespace")
 		flightEvery = flag.Int64("flight-every", 0, "attach the simulator flight recorder at this epoch granularity in cycles (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write the run as Chrome trace_event JSON (load in Perfetto or chrome://tracing)")
-		noSkip      = flag.Bool("no-skip", false, "disable event-horizon cycle skipping (per-cycle control run; results are byte-identical)")
 	)
 	flag.Parse()
 
@@ -99,7 +98,6 @@ func main() {
 			ImageSeed:  imageSeed, WalkSeed: walkSeed,
 			WarmInstrs: warm, MeasureInstrs: measure,
 			FlightEvery: *flightEvery,
-			NoCycleSkip: *noSkip,
 		}
 		if customScheme != nil {
 			raw, err := json.Marshal(customScheme)
@@ -132,9 +130,6 @@ func main() {
 		}
 		if *flightEvery > 0 {
 			opts = append(opts, boomsim.WithFlightRecorder(*flightEvery))
-		}
-		if *noSkip {
-			opts = append(opts, boomsim.WithCycleSkip(false))
 		}
 		return boomsim.New(opts...)
 	}

@@ -70,7 +70,6 @@ func main() {
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight HTTP responses")
 		logLevel  = flag.String("log-level", "info", "log floor: debug, info, warn or error")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it on localhost)")
-		noSkip    = flag.Bool("no-skip", false, "force the per-cycle simulation loop for every request (control worker; results are byte-identical)")
 	)
 	flag.Parse()
 
@@ -86,7 +85,6 @@ func main() {
 		CacheEntries:   *cache,
 		RequestTimeout: *timeout,
 		Logger:         logger,
-		NoCycleSkip:    *noSkip,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{MaxBytes: *storeMax, Logger: logger})

@@ -410,7 +410,6 @@ func wireRequest(s *Simulation) wire.RunRequest {
 		MeasureInstrs: &measure,
 		MaxCycles:     s.maxCycles,
 		FlightEvery:   s.flightEvery,
-		NoCycleSkip:   s.noCycleSkip,
 	}
 	if s.schemeCfg != nil {
 		req.Scheme = ""

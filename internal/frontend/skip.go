@@ -52,13 +52,11 @@ import "boomsim/internal/cache"
 // corpus pin the equivalence.
 
 // SetCycleSkip enables or disables event-horizon cycle skipping (enabled by
-// default). Disabling it forces the per-cycle interpretation loop — the
-// control runs and debugging aids (e.g. single-cycle flight-recorder traces)
-// use it; results are byte-identical either way.
+// default). Disabling it forces the per-cycle interpretation loop; results
+// are byte-identical either way. sim.Spec.DisableCycleSkip and
+// BOOMSIM_NO_SKIP=1 turn it off for control runs and for single-cycle
+// flight-recorder traces.
 func (e *Engine) SetCycleSkip(on bool) { e.noSkip = !on }
-
-// CycleSkipEnabled reports whether Run may fast-forward stalled windows.
-func (e *Engine) CycleSkipEnabled() bool { return !e.noSkip }
 
 // SkippedCycles returns the cycles fast-forwarded (rather than ticked) since
 // the last ResetStats. It is diagnostic only — deliberately not part of

@@ -36,6 +36,7 @@ func FuzzServerRun(f *testing.F) {
 	for _, raw := range []string{
 		`{not json`,
 		`{"scheme":"Boomerang","no_such_field":1}`,
+		`{"workload":"Apache","footprint_kb":64,"measure_instrs":20000,"no_cycle_skip":true}`,
 		`{"workload":"Apache","footprint_kb":64,"measure_instrs":20000,"btb_entries":4611686018427387904}`,
 		`{"workload":"Apache","footprint_kb":64,"measure_instrs":20000,"scheme_config":` +
 			`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":4611686018427387904,"index_entries":8,"region_lines":4,"lookahead":8}}}}`,

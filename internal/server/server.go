@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"boomsim"
+	"boomsim/internal/memo"
 	"boomsim/internal/store"
 	"boomsim/internal/wire"
 )
@@ -73,11 +74,6 @@ type Config struct {
 	// per-job settlement, drain) at slog levels; request-scoped records
 	// carry the client's trace_id when one was sent. Nil discards them.
 	Logger *slog.Logger
-	// NoCycleSkip forces the per-cycle simulation loop for every request
-	// this server runs (boomsimd -no-skip), regardless of what requests
-	// ask for. Results are byte-identical either way; the flag dedicates a
-	// worker to control-leg provenance.
-	NoCycleSkip bool
 }
 
 func (c Config) withDefaults() Config {
@@ -118,7 +114,7 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 	sem     chan struct{}
-	cache   *resultCache
+	cache   *memo.Cache[cachedRun]
 	store   *store.Store
 	flights *flightGroup
 	m       metrics
@@ -141,7 +137,7 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		stop:    cancel,
 		sem:     make(chan struct{}, cfg.Workers),
-		cache:   newResultCache(cfg.CacheEntries),
+		cache:   memo.New[cachedRun](cfg.CacheEntries),
 		store:   cfg.Store,
 	}
 	s.flights = newFlightGroup(func() { s.m.flightShared.Add(1) })
@@ -234,12 +230,6 @@ type MatrixResponse struct {
 
 func (s *Server) runOptions(req RunRequest) ([]boomsim.Option, error) {
 	var opts []boomsim.Option
-	if s.cfg.NoCycleSkip {
-		// Server-wide control mode (boomsimd -no-skip): every simulation
-		// this worker runs uses the per-cycle loop. Identical results with
-		// different provenance — a control fleet for the skipping fleet.
-		opts = append(opts, boomsim.WithCycleSkip(false))
-	}
 	if req.Scheme != "" {
 		opts = append(opts, boomsim.WithScheme(req.Scheme))
 	}
@@ -292,9 +282,6 @@ func (s *Server) runOptions(req RunRequest) ([]boomsim.Option, error) {
 	}
 	if req.FlightEvery > 0 {
 		opts = append(opts, boomsim.WithFlightRecorder(req.FlightEvery))
-	}
-	if req.NoCycleSkip {
-		opts = append(opts, boomsim.WithCycleSkip(false))
 	}
 	return opts, nil
 }
@@ -376,8 +363,8 @@ func newCachedRun(key string, r boomsim.Result) cachedRun {
 // be decoded into a Result (version skew) is treated as a miss and will be
 // recomputed and overwritten.
 func (s *Server) cacheGet(key string) (cachedRun, bool) {
-	if v, ok := s.cache.Get(key); ok {
-		return v.(cachedRun), true
+	if e, ok := s.cache.Get(key); ok {
+		return e, true
 	}
 	if s.store == nil {
 		return cachedRun{}, false

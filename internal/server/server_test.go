@@ -472,6 +472,13 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
+	// The wire once carried a per-request cycle-skip switch. A body that
+	// still sends it is refused by name rather than run with skipping on.
+	code, raw := s.post(t, "/v1/run", json.RawMessage(`{"workload":"Apache","no_cycle_skip":true}`))
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), `unknown field \"no_cycle_skip\"`) {
+		t.Errorf("retired no_cycle_skip field: status %d: %s, want 400 naming the field", code, raw)
+	}
+
 	resp, err := s.ts.Client().Post(s.ts.URL+"/v1/run", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +497,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Errorf("GET /v1/run: status %d, want 405", resp.StatusCode)
 	}
 
-	code, raw := s.post(t, "/v1/jobs", wire.JobsRequest{Jobs: []RunRequest{{BTBEntries: math.MaxInt}}})
+	code, raw = s.post(t, "/v1/jobs", wire.JobsRequest{Jobs: []RunRequest{{BTBEntries: math.MaxInt}}})
 	var jobs wire.JobsResponse
 	if err := json.Unmarshal(raw, &jobs); code != http.StatusOK || err != nil ||
 		len(jobs.Jobs) != 1 || jobs.Jobs[0].Status != http.StatusBadRequest {
@@ -504,31 +511,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if st := s.srv.Stats(); st.SimsStarted != 1 {
 		t.Errorf("%d simulations started, want only the final valid run's", st.SimsStarted)
-	}
-}
-
-// TestLRUCacheEviction pins the cache's bound and recency behaviour without
-// going through HTTP.
-func TestLRUCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if _, ok := c.Get("a"); !ok { // touch: a is now most recent
-		t.Fatal("a missing")
-	}
-	c.Add("c", 3) // evicts b, the least recently used
-	if _, ok := c.Get("b"); ok {
-		t.Errorf("b survived eviction; LRU order not respected")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Errorf("recently-used a was evicted")
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache len %d, want 2", c.Len())
-	}
-	c.Add("c", 33) // update in place, no growth
-	if v, _ := c.Get("c"); v != 33 || c.Len() != 2 {
-		t.Errorf("update in place failed: v=%v len=%d", v, c.Len())
 	}
 }
 

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -17,17 +16,13 @@ import (
 	"boomsim/internal/cache"
 	"boomsim/internal/config"
 	"boomsim/internal/frontend"
+	"boomsim/internal/memo"
 	"boomsim/internal/prefetch"
 	"boomsim/internal/program"
 	"boomsim/internal/scheme"
 	"boomsim/internal/stats"
 	"boomsim/internal/workload"
 )
-
-// envNoSkip disables event-horizon cycle skipping process-wide, equivalent
-// to DisableCycleSkip on every Spec. CI's golden control leg sets it to
-// prove the shipped per-cycle loop still reproduces the corpus bytes.
-var envNoSkip = os.Getenv("BOOMSIM_NO_SKIP") == "1"
 
 // Spec describes one simulation.
 type Spec struct {
@@ -60,8 +55,9 @@ type Spec struct {
 	FlightEvery int64
 	// DisableCycleSkip forces the per-cycle interpretation loop instead of
 	// event-horizon cycle skipping (see internal/frontend/skip.go). Results
-	// are byte-identical either way — the flag exists for control runs and
-	// per-cycle debugging — so the zero value keeps skipping on. It IS
+	// are byte-identical either way — tests and benchmarks set it for
+	// control runs, and BOOMSIM_NO_SKIP=1 sets it for every run in the
+	// process (see noSkip) — so the zero value keeps skipping on. It IS
 	// warm-relevant for the arena key: skip-on and skip-off runs never share
 	// a warm master, keeping the control arm's provenance entirely separate.
 	DisableCycleSkip bool
@@ -106,58 +102,21 @@ type Result struct {
 	Epochs []frontend.Epoch
 }
 
-// The image cache memoises generated images: experiments run many schemes
-// over the same workload and image generation is the expensive part. Each
-// entry carries a sync.Once so concurrent runs of the same (workload, seed)
-// — the common case under the parallel experiment runner — generate the
-// image exactly once instead of racing to do duplicate work.
-//
-// The cache is bounded (LRU): long-running services expose the key's
-// parameters (footprint, image seed) to clients, and an unbounded cache of
-// multi-megabyte images would grow monotonically under a parameter sweep.
-// An evicted-while-generating entry still completes for the runs holding
-// it; it is simply not shared afterwards.
+// images memoises generated images: experiments run many schemes over the
+// same workload, and image generation is the expensive part. It is bounded
+// because long-running services expose the key's parameters (footprint,
+// image seed) to clients, and an unbounded cache of multi-megabyte images
+// would grow monotonically under a parameter sweep.
 const imageCacheEntries = 32
 
-var (
-	imageMu    sync.Mutex
-	imageLRU   = list.New() // front = most recently used; values are *imageCacheEntry
-	imageIndex = map[string]*list.Element{}
-)
-
-type imageCacheEntry struct {
-	key  string
-	once sync.Once
-	img  *program.Image
-	err  error
-}
+var images = memo.New[*program.Image](imageCacheEntries)
 
 func imageFor(p workload.Profile, seed uint64) (*program.Image, error) {
 	// The key covers the full generator parameterisation, not just the
 	// profile name: public-API callers can override the footprint (or
 	// register same-named variants), and those must not share an image.
 	key := fmt.Sprintf("%s/%d/%+v", p.Name, seed, p.Gen)
-	imageMu.Lock()
-	var e *imageCacheEntry
-	if el, ok := imageIndex[key]; ok {
-		imageLRU.MoveToFront(el)
-		e = el.Value.(*imageCacheEntry)
-	} else {
-		e = &imageCacheEntry{key: key}
-		imageIndex[key] = imageLRU.PushFront(e)
-		for imageLRU.Len() > imageCacheEntries {
-			oldest := imageLRU.Back()
-			imageLRU.Remove(oldest)
-			delete(imageIndex, oldest.Value.(*imageCacheEntry).key)
-		}
-	}
-	imageMu.Unlock()
-	// Generation runs outside the lock; the Once makes concurrent callers
-	// of the same entry share one generation.
-	e.once.Do(func() {
-		e.img, e.err = p.Image(seed)
-	})
-	return e.img, e.err
+	return images.Do(key, func() (*program.Image, error) { return p.Image(seed) })
 }
 
 // Hooks customises a context-aware run. The zero value means "no
@@ -267,9 +226,8 @@ func buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, 
 		Predictor: spec.Predictor,
 	})
 	// Applied before the warm window so warm and measurement run the same
-	// loop; BOOMSIM_NO_SKIP=1 disables skipping process-wide (the CI golden
-	// control leg uses it to exercise the per-cycle loop end to end).
-	inst.Engine.SetCycleSkip(!spec.DisableCycleSkip && !envNoSkip)
+	// loop.
+	inst.Engine.SetCycleSkip(!noSkip(spec))
 	// The paper measures from SMARTS checkpoints with warmed caches: all 16
 	// cores run the same binary, so its text is LLC-resident. Preload it.
 	warmLLCWithImage(inst, img)
@@ -280,6 +238,15 @@ func buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, 
 		inst.Engine.ResetStats()
 	}
 	return inst, nil
+}
+
+// noSkip reports whether spec runs the per-cycle loop: it asks to, or
+// BOOMSIM_NO_SKIP=1 disables skipping process-wide. CI's golden control leg
+// sets the variable to prove the per-cycle loop still reproduces the corpus
+// bytes, and `BOOMSIM_NO_SKIP=1 boomsim -flight-every 1` traces every cycle.
+// It is read on each call, not once at start-up, so a test can set it.
+func noSkip(spec Spec) bool {
+	return spec.DisableCycleSkip || os.Getenv("BOOMSIM_NO_SKIP") == "1"
 }
 
 // collectResult assembles a Result from an instance whose measurement window

@@ -1,12 +1,11 @@
 package sim
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
+	"boomsim/internal/memo"
 	"boomsim/internal/scheme"
 )
 
@@ -34,35 +33,21 @@ import (
 // addresses. MeasureInstrs and MaxCycles are deliberately excluded: they
 // only shape the measurement window, so sweeps over them share one master.
 //
-// Like the image cache above it, the arena is bounded LRU with a sync.Once
-// per entry: concurrent runs of the same configuration warm one master
-// between them, and a parameter sweep cannot grow the arena monotonically.
-// The bound also caps resident memory. Measured heap per master with Table
-// I's 8 MB LLC: 0.55 MB for Boomerang or FDIP on a 512 KB image, 1.7 MB for
-// Confluence (its temporal prefetcher's history), and 3.6 MB for Boomerang
-// on DB2's 5 MB image, whose text fills LLC sets past 8 ways so the tag
-// store holds all 16 (cache.SetAssoc sizes it by occupancy). A full arena
-// of the largest measured, Confluence on DB2 at 4.7 MB, is about 1.2 GB.
-// The bound is sized so a full 18-scheme x 7-workload matrix (126 entries,
-// the sweep shape the paper's figures and this repo's benchmarks re-run
-// most) stays resident even with dozens of other warmed configurations
-// already in the arena — at a tighter bound a process mixing a full matrix
-// with other sweeps evicts matrix masters mid-sweep and rebuilds them every
-// pass.
+// The arena is bounded, which also caps resident memory. Measured heap per
+// master with Table I's 8 MB LLC: 0.55 MB for Boomerang or FDIP on a 512 KB
+// image, 1.7 MB for Confluence (its temporal prefetcher's history), and
+// 3.6 MB for Boomerang on DB2's 5 MB image, whose text fills LLC sets past 8
+// ways so the tag store holds all 16 (cache.SetAssoc sizes it by occupancy).
+// A full arena of the largest measured, Confluence on DB2 at 4.7 MB, is
+// about 1.2 GB. The bound is sized so a full 18-scheme x 7-workload matrix
+// (126 entries, the sweep shape the paper's figures and this repo's
+// benchmarks re-run most) stays resident even with dozens of other warmed
+// configurations already in the arena — at a tighter bound a process mixing
+// a full matrix with other sweeps evicts matrix masters mid-sweep and
+// rebuilds them every pass.
 const warmArenaEntries = 256
 
-var (
-	warmMu    sync.Mutex
-	warmLRU   = list.New() // front = most recently used; values are *warmArenaEntry
-	warmIndex = map[string]*list.Element{}
-)
-
-type warmArenaEntry struct {
-	key  string
-	once sync.Once
-	inst *scheme.Instance
-	err  error
-}
+var warmArena = memo.New[*scheme.Instance](warmArenaEntries)
 
 // warmKeyOf projects spec onto its warm-relevant parameters. ok is false
 // when the scheme config cannot be serialised (no such built-in exists, but
@@ -79,7 +64,7 @@ func warmKeyOf(spec Spec) (key string, ok bool) {
 	return fmt.Sprintf("scheme=%s|workload=%s/%d/%+v|walk=%d|pred=%q|core=%+v|warm=%d|noskip=%t",
 		cfg, spec.Workload.Name, spec.ImageSeed, spec.Workload.Gen,
 		spec.WalkSeed, spec.Predictor, spec.Cfg, spec.WarmInstrs,
-		spec.DisableCycleSkip || envNoSkip), true
+		noSkip(spec)), true
 }
 
 // forkWarm returns a private fork of the memoised warmed instance for spec.
@@ -93,46 +78,21 @@ func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, e
 	if !keyed {
 		return nil, nil, false
 	}
-	warmMu.Lock()
-	var e *warmArenaEntry
-	if el, hit := warmIndex[key]; hit {
-		warmLRU.MoveToFront(el)
-		e = el.Value.(*warmArenaEntry)
-	} else {
-		e = &warmArenaEntry{key: key}
-		warmIndex[key] = warmLRU.PushFront(e)
-		for warmLRU.Len() > warmArenaEntries {
-			oldest := warmLRU.Back()
-			warmLRU.Remove(oldest)
-			delete(warmIndex, oldest.Value.(*warmArenaEntry).key)
-		}
-	}
-	warmMu.Unlock()
-	// Warming runs outside the lock; the Once makes concurrent runs of the
-	// same configuration share one master. An evicted-while-warming entry
-	// still completes for the runs holding it.
-	e.once.Do(func() {
-		e.inst, e.err = buildWarm(ctx, spec, chunk)
+	master, err := warmArena.Do(key, func() (*scheme.Instance, error) {
+		return buildWarm(ctx, spec, chunk)
 	})
-	if e.err != nil {
-		// The failure may be another caller's cancellation, which must not
-		// poison the configuration for everyone: drop the entry so future
-		// runs retry. Our own cancellation surfaces directly; anything else
-		// falls back to the private path, which reproduces the error (or
-		// succeeds if it was transient).
-		warmMu.Lock()
-		if el, hit := warmIndex[key]; hit && el.Value.(*warmArenaEntry) == e {
-			warmLRU.Remove(el)
-			delete(warmIndex, key)
-		}
-		warmMu.Unlock()
+	if err != nil {
+		// The failure may be another caller's cancellation; the arena has
+		// dropped the entry, so it poisons nothing. Our own cancellation
+		// surfaces directly; anything else falls back to the private path,
+		// which reproduces the error (or succeeds if it was transient).
 		if err := ctx.Err(); err != nil {
 			return nil, err, true
 		}
 		return nil, nil, false
 	}
 	// The master is immutable once warmed, so concurrent forks are safe.
-	if c := e.inst.Clone(); c != nil {
+	if c := master.Clone(); c != nil {
 		return c, nil, true
 	}
 	return nil, nil, false

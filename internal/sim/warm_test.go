@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"boomsim/internal/frontend"
@@ -182,6 +183,99 @@ func TestRunContextWarmReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireResultsEqual(t, "chunked arena hit vs reuse off", chunked, off)
+}
+
+// cancelOnSecondErr embeds a cancellable context, so Done is non-nil and a
+// run under it checks Err between chunks, and reports context.Canceled from
+// its second Err call on: the run passes RunContext's entry check and stops
+// after one warm chunk.
+type cancelOnSecondErr struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelOnSecondErr) Err() error {
+	if c.calls.Add(1) >= 2 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestCanceledWarmDoesNotPoisonArena pins the arena's no-poison rule end to
+// end: a run canceled while it warms a master leaves nothing under its key,
+// and the next run of the same spec warms a master into the arena, forks it
+// and matches a run without reuse.
+func TestCanceledWarmDoesNotPoisonArena(t *testing.T) {
+	spec := fastSpec(scheme.FDIP(), fastProfile("Oracle"))
+	spec.WalkSeed = 77 // a key no other test warms
+	key, ok := warmKeyOf(spec)
+	if !ok {
+		t.Fatal("spec has no warm key")
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	if _, err := RunContext(&cancelOnSecondErr{Context: live}, spec, Hooks{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	if _, ok := warmArena.Get(key); ok {
+		t.Fatal("the canceled warm left a master in the arena")
+	}
+
+	var source string
+	got, err := RunContext(live, spec, Hooks{OnWarm: func(s string) { source = s }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if source != "fork" {
+		t.Errorf("run after the canceled warm got %q warm state, want a fork of a new master", source)
+	}
+	spec.ReuseWarm = false
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResultsEqual(t, "run after a canceled warm vs reuse off", got, want)
+}
+
+// TestNoSkipEnvForcesPerCycleLoop pins BOOMSIM_NO_SKIP=1, read where it is
+// used: it stops a run that skips most of its cycles from skipping any, keys
+// its warm masters apart, and leaves every counter as skipping had it.
+func TestNoSkipEnvForcesPerCycleLoop(t *testing.T) {
+	w, ok := workload.ByName("Apache")
+	if !ok {
+		t.Fatal("no Apache workload")
+	}
+	w.Gen.FootprintKB = 768
+	spec := DefaultSpec(scheme.Base(), w)
+	spec.Cfg = spec.Cfg.WithLLCLatency(600)
+	spec.WarmInstrs = 50_000
+	run := func() (st frontend.Stats, skipped int64, key string) {
+		inst, err := WarmInstance(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = inst.Engine.Run(100_000, 0)
+		key, _ = warmKeyOf(spec)
+		return st, inst.Engine.SkippedCycles(), key
+	}
+
+	t.Setenv("BOOMSIM_NO_SKIP", "")
+	skipSt, skipped, skipKey := run()
+	if skipped == 0 {
+		t.Fatal("the stall-heavy run skipped no cycles by default")
+	}
+	t.Setenv("BOOMSIM_NO_SKIP", "1")
+	st, skipped, key := run()
+	if skipped != 0 {
+		t.Errorf("BOOMSIM_NO_SKIP=1 run skipped %d cycles, want 0", skipped)
+	}
+	if key == skipKey {
+		t.Errorf("BOOMSIM_NO_SKIP=1 shares the skipping run's warm key %q", key)
+	}
+	if st != skipSt {
+		t.Errorf("per-cycle stats differ from skipping stats:\n per-cycle=%+v\n skipping=%+v", st, skipSt)
+	}
 }
 
 // wedgedEngine models an engine that stops retiring: Run consumes its full

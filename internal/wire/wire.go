@@ -41,12 +41,6 @@ type RunRequest struct {
 	// participates in the simulation's identity (recorded results have
 	// different bytes), so coordinator and worker fingerprints agree.
 	FlightEvery int64 `json:"flight_every,omitempty"`
-	// NoCycleSkip forces the per-cycle simulation loop instead of
-	// event-horizon cycle skipping (boomsim.WithCycleSkip(false)). Results
-	// are byte-identical either way, so — like warm reuse — it never
-	// participates in the simulation's identity; it rides the wire so
-	// control runs and per-cycle debugging reach remote workers.
-	NoCycleSkip bool `json:"no_cycle_skip,omitempty"`
 	// TimeoutMS tightens this request's deadline below the server cap.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// TraceID correlates this request with a client-side sweep trace; the

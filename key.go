@@ -13,8 +13,8 @@ import (
 // with equal Keys produce byte-identical Results — a Run is a pure function
 // of this string — so the Key is safe to use as a cache or memoisation key.
 // Progress callbacks are deliberately excluded: they observe a run without
-// affecting it. So are warm reuse (WithWarmReuse) and cycle skipping
-// (WithCycleSkip): both are pure wall-clock trades whose on and off runs
+// affecting it. So are warm reuse and cycle skipping (BOOMSIM_NO_SKIP=1
+// turns skipping off): both are pure wall-clock trades whose on and off runs
 // produce byte-identical Results, so either setting may serve a cached
 // Result for the other.
 //
