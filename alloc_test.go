@@ -45,7 +45,7 @@ func TestMeasureLoopAllocationFree(t *testing.T) {
 			// counters every 1K cycles — must also never touch the heap.
 			// Attach outside the measured closure (the one-time buffer
 			// allocation is the contract's explicit exception).
-			inst.Engine.StartFlightRecorder(1_000, 4096)
+			inst.Engine.StartFlightRecorder(1_000)
 			allocs = testing.AllocsPerRun(5, func() {
 				inst.Engine.Run(20_000, 0)
 			})

@@ -75,11 +75,14 @@ func BenchmarkSimulatorThroughputRecorded(b *testing.B) {
 	if instrs < 100_000 {
 		instrs = 100_000
 	}
-	inst.Engine.StartFlightRecorder(10_000, 0)
+	inst.Engine.StartFlightRecorder(10_000)
 	b.ResetTimer()
 	inst.Engine.Run(instrs, 0)
 	b.StopTimer()
-	epochs := inst.Engine.StopFlightRecorder()
+	epochs, err := inst.Engine.StopFlightRecorder()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(len(epochs)), "epochs")
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(instrs)/secs/1e6, "MIPS")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"boomsim/internal/config"
+	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
 	"boomsim/internal/sim"
 	"boomsim/internal/workload"
@@ -182,33 +183,15 @@ func (s *Simulation) runWithHooks(ctx context.Context, onWarm func(source string
 	return newResult(r, s.scheme.StorageOverheadKB), nil
 }
 
-// RunCMP executes the simulation as a homogeneous chip-level consolidation
-// run: cores independent instances of the same workload from distinct
-// request streams (cores <= 0 uses the paper's 16). Cancellation semantics
-// match Run, including the WithProgress granularity; the progress callback
-// itself is not invoked — cores run concurrently, so per-core callbacks
-// would interleave meaninglessly.
-func (s *Simulation) RunCMP(ctx context.Context, cores int) (CMPResult, error) {
-	res, err := sim.RunCMPContext(ctx, sim.CMPSpec{Spec: s.spec(), Cores: cores},
-		sim.Hooks{ProgressEvery: s.progressEvery})
-	if err != nil {
-		return CMPResult{}, wrapRunError(err)
-	}
-	out := CMPResult{
-		PerCore:    make([]Result, len(res.PerCore)),
-		Throughput: res.Throughput,
-	}
-	for i, r := range res.PerCore {
-		out.PerCore[i] = newResult(r, s.scheme.StorageOverheadKB)
-	}
-	return out, nil
-}
-
-// wrapRunError maps context errors onto the public ErrCanceled sentinel
-// while leaving genuine simulation errors untouched.
+// wrapRunError maps context errors onto the public ErrCanceled sentinel and
+// an overflowing flight recorder onto ErrInvalidOption (its epoch was too
+// fine for the window), while leaving genuine simulation errors untouched.
 func wrapRunError(err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	if errors.Is(err, frontend.ErrRecorderFull) {
+		return fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 	return err
 }

@@ -296,25 +296,6 @@ func TestCancellationReturnsErrCanceledPromptly(t *testing.T) {
 	}
 }
 
-func TestRunCMP(t *testing.T) {
-	s, err := boomsim.New(fastOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunCMP(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerCore) != 2 || res.Throughput <= 0 {
-		t.Fatalf("RunCMP = %d cores, throughput %v", len(res.PerCore), res.Throughput)
-	}
-	if res.PerCore[0].Cycles == res.PerCore[1].Cycles &&
-		res.PerCore[0].IPC == res.PerCore[1].IPC &&
-		res.PerCore[0].FetchStallCycles == res.PerCore[1].FetchStallCycles {
-		t.Errorf("both cores identical; distinct walk seeds should diverge")
-	}
-}
-
 func matrixSims(t *testing.T) []*boomsim.Simulation {
 	t.Helper()
 	var sims []*boomsim.Simulation
@@ -354,6 +335,93 @@ func TestRunMatrixDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel results differ from sequential:\n seq %+v\n par %+v", seq, par)
+	}
+}
+
+// TestRunMatrixReportsLowestIndexFailure pins RunMatrix's failure policy:
+// the lowest-index genuine failure is reported, at any parallelism, and it
+// is not mistaken for cancellation. Cells 1 and 3 fail because one-cycle
+// flight-recorder epochs overflow the recorder.
+func TestRunMatrixReportsLowestIndexFailure(t *testing.T) {
+	sims := make([]*boomsim.Simulation, 4)
+	for i := range sims {
+		opts := []boomsim.Option{boomsim.WithFootprintKB(64), boomsim.WithWindow(0, 100_000)}
+		if i%2 == 1 {
+			opts = append(opts, boomsim.WithFlightRecorder(1))
+		}
+		s, err := boomsim.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = s
+	}
+	for _, p := range []int{1, 8} {
+		_, err := boomsim.RunMatrix(context.Background(), sims, boomsim.WithParallelism(p))
+		if err == nil || !strings.Contains(err.Error(), "sims[1]") ||
+			!errors.Is(err, boomsim.ErrInvalidOption) || errors.Is(err, boomsim.ErrCanceled) {
+			t.Errorf("parallelism %d: err = %v, want sims[1]'s ErrInvalidOption", p, err)
+		}
+	}
+}
+
+// TestWalkSeedsDiverge pins what a sweep over walk seeds relies on: the
+// walk seed alone changes the executed path, so runs that differ only in it
+// are distinct samples, while equal seeds reproduce a run exactly.
+func TestWalkSeedsDiverge(t *testing.T) {
+	var sims []*boomsim.Simulation
+	for _, walk := range []uint64{1, 2, 1} {
+		s, err := boomsim.New(fastOpts(boomsim.WithSeeds(1, walk))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims = append(sims, s)
+	}
+	res, err := boomsim.RunMatrix(context.Background(), sims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res[0], res[2]) {
+		t.Errorf("equal seeds gave different results:\n%+v\n%+v", res[0], res[2])
+	}
+	if res[0].Cycles == res[1].Cycles && res[0].FetchStallCycles == res[1].FetchStallCycles &&
+		res[0].BTBMisses == res[1].BTBMisses {
+		t.Errorf("walk seeds 1 and 2 gave identical runs; the walk seed is not applied")
+	}
+}
+
+// TestNoRetirementResultIsFinite pins the zero-retirement corner: a run
+// whose cycle budget ends before anything retires reports finite (zero)
+// rates, not NaN or Inf, so its Result still encodes as JSON.
+func TestNoRetirementResultIsFinite(t *testing.T) {
+	for _, name := range []string{"Base", "FDIP", "Boomerang", "Confluence"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := boomsim.New(boomsim.WithScheme(name), boomsim.WithFootprintKB(64),
+				boomsim.WithWindow(0, 1_000), boomsim.WithMaxCycles(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Instructions != 0 {
+				t.Fatalf("retired %d instructions in one cycle; the test needs none", r.Instructions)
+			}
+			v := reflect.ValueOf(r)
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Float64 && (math.IsNaN(f.Float()) || math.IsInf(f.Float(), 0)) {
+					t.Errorf("%s = %v", v.Type().Field(i).Name, f.Float())
+				}
+			}
+			for k, x := range r.Stats {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Errorf("Stats[%q] = %v", k, x)
+				}
+			}
+			if _, err := json.Marshal(r); err != nil {
+				t.Fatalf("result does not encode: %v", err)
+			}
+		})
 	}
 }
 

@@ -295,7 +295,7 @@ func TestChaosTornJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local RunMatrix: %v", err)
 	}
-	first, err := boomsim.RunMatrixDistributed(ctx, sims,
+	first, err := runDistributed(ctx, sims,
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithJournal(journal),
 		boomsim.WithRetryBackoff(time.Millisecond, 20*time.Millisecond),
@@ -362,7 +362,7 @@ func TestChaosStoreCorruptionNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local RunMatrix: %v", err)
 	}
-	first, err := boomsim.RunMatrixDistributed(ctx, sims, boomsim.WithEndpoints(hs1.URL))
+	first, err := runDistributed(ctx, sims, boomsim.WithEndpoints(hs1.URL))
 	if err != nil {
 		t.Fatalf("sweep over faulty store: %v", err)
 	}
@@ -427,7 +427,7 @@ func TestChaosStoreCorruptionNeverServed(t *testing.T) {
 	t.Cleanup(hs2.Close)
 	t.Cleanup(srv2.Close)
 
-	second, err := boomsim.RunMatrixDistributed(ctx, sims, boomsim.WithEndpoints(hs2.URL))
+	second, err := runDistributed(ctx, sims, boomsim.WithEndpoints(hs2.URL))
 	if err != nil {
 		t.Fatalf("sweep over recovered store: %v", err)
 	}

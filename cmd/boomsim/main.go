@@ -8,7 +8,6 @@
 //	boomsim -scheme Boomerang -workload DB2
 //	boomsim -scheme FDIP -workload Apache -btb 32768 -llc 18
 //	boomsim -scheme FDIP -workload Zeus -predictor never-taken
-//	boomsim -scheme Boomerang -workload Oracle -cores 16
 //	boomsim -scheme Boomerang -workload Apache -json
 //	boomsim -scheme-file my-scheme.json -workload DB2 -stats
 //	boomsim -remote http://sim-1:8080 -scheme FDIP -workload DB2
@@ -51,7 +50,6 @@ func main() {
 		measure     = flag.Uint64("measure", 1_000_000, "measured instructions")
 		imageSeed   = flag.Uint64("image-seed", 1, "code image generation seed")
 		walkSeed    = flag.Uint64("walk-seed", 1, "oracle execution seed")
-		cores       = flag.Int("cores", 1, "simulate a CMP with this many cores")
 		baseline    = flag.Bool("baseline", false, "also run the Base scheme and report speedup/coverage")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON instead of text")
 		list        = flag.Bool("list", false, "list registered schemes and workloads, then exit")
@@ -72,7 +70,7 @@ func main() {
 	defer stop()
 
 	// A custom declarative scheme loads once and substitutes for -scheme
-	// everywhere (local runs, remote runs, the CMP harness).
+	// everywhere (local and remote runs).
 	var customScheme *boomsim.SchemeConfig
 	if *schemeFile != "" {
 		cfg, err := boomsim.LoadSchemeConfig(*schemeFile)
@@ -83,8 +81,8 @@ func main() {
 	}
 
 	if *remote != "" {
-		if *cores > 1 || *baseline {
-			fatalf("-remote supports single runs only (no -cores/-baseline)")
+		if *baseline {
+			fatalf("-remote supports single runs only (no -baseline)")
 		}
 		if *traceOut != "" {
 			fatalf("-trace-out traces local runs; remote sweeps are traced by boomctl")
@@ -137,14 +135,6 @@ func main() {
 	s, err := newSim(*schemeName)
 	if err != nil {
 		fatalf("%v", err)
-	}
-
-	if *cores > 1 {
-		if *traceOut != "" {
-			fatalf("-trace-out supports single-core runs only")
-		}
-		runCMP(ctx, s, *cores, *jsonOut)
-		return
 	}
 
 	// With -trace-out even a single run goes through RunMatrix, which is
@@ -273,29 +263,6 @@ func runRemote(ctx context.Context, base string, req wire.RunRequest) {
 	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
 		fmt.Println()
 	}
-}
-
-func runCMP(ctx context.Context, s *boomsim.Simulation, cores int, jsonOut bool) {
-	res, err := s.RunCMP(ctx, cores)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if jsonOut {
-		emitJSON(res)
-		return
-	}
-	fmt.Printf("%s on %s, %d cores\n", s.Scheme().Name, s.Workload().Name, cores)
-	fmt.Printf("  chip throughput      %.3f instructions/cycle\n", res.Throughput)
-	var minIPC, maxIPC float64
-	for i, r := range res.PerCore {
-		if i == 0 || r.IPC < minIPC {
-			minIPC = r.IPC
-		}
-		if r.IPC > maxIPC {
-			maxIPC = r.IPC
-		}
-	}
-	fmt.Printf("  per-core IPC         %.3f .. %.3f\n", minIPC, maxIPC)
 }
 
 func printResult(r boomsim.Result) {

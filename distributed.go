@@ -379,16 +379,6 @@ func (s ClusterStats) CacheHitRatio() float64 {
 	return float64(s.CacheHits) / float64(s.JobsCompleted)
 }
 
-// RunMatrixDistributed is the one-shot form of Cluster.RunMatrix: build a
-// cluster from opts, run the matrix, return order-stable results.
-func RunMatrixDistributed(ctx context.Context, sims []*Simulation, opts ...ClusterOption) ([]Result, error) {
-	c, err := NewCluster(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunMatrix(ctx, sims)
-}
-
 // wireRequest spells out the simulation's full configuration — defaults
 // included — so the worker reconstructs the exact Key-identified cell
 // regardless of its own defaults. Inline declarative schemes travel as

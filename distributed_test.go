@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,15 @@ func endpoints(workers []*testWorker) []string {
 		eps[i] = w.http.URL
 	}
 	return eps
+}
+
+// runDistributed runs sims on a fresh coordinator built from opts.
+func runDistributed(ctx context.Context, sims []*boomsim.Simulation, opts ...boomsim.ClusterOption) ([]boomsim.Result, error) {
+	cl, err := boomsim.NewCluster(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return cl.RunMatrix(ctx, sims)
 }
 
 // fullMatrix is the paper's full figure matrix at CI scale: every
@@ -125,7 +135,7 @@ func TestDistributedMatrixMatchesLocal(t *testing.T) {
 
 	// Identical sweep, fresh coordinator: key-affine routing must land
 	// every cell on the worker that already holds it.
-	repeat, err := boomsim.RunMatrixDistributed(ctx, sims,
+	repeat, err := runDistributed(ctx, sims,
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithBatchSize(4),
 	)
@@ -237,10 +247,32 @@ func TestDistributedNoWorkers(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close()
 	sims := []*boomsim.Simulation{mustSim(t)}
-	_, err := boomsim.RunMatrixDistributed(context.Background(), sims,
+	_, err := runDistributed(context.Background(), sims,
 		boomsim.WithEndpoints(dead.URL))
 	if !errors.Is(err, boomsim.ErrNoWorkers) {
-		t.Fatalf("RunMatrixDistributed err = %v, want ErrNoWorkers", err)
+		t.Fatalf("distributed run err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestDistributedRecorderOverflowFails pins that a cell whose flight
+// recorder overflows fails a distributed sweep the way it fails a local
+// one: the worker's 400 names the full recorder, and the coordinator stops
+// instead of retrying the cell on another worker.
+func TestDistributedRecorderOverflowFails(t *testing.T) {
+	workers := startWorkers(t, 2)
+	sims := []*boomsim.Simulation{
+		mustSim(t),
+		mustSim(t, boomsim.WithWindow(0, 100_000), boomsim.WithFlightRecorder(1)),
+	}
+	cl, err := boomsim.NewCluster(boomsim.WithEndpoints(endpoints(workers)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunMatrix(context.Background(), sims); err == nil || !strings.Contains(err.Error(), "flight recorder full") {
+		t.Fatalf("err = %v, want the worker's full-recorder rejection", err)
+	}
+	if st := cl.Stats(); st.JobsRetried != 0 || st.CellsRetried != 0 {
+		t.Errorf("stats = %+v, want no retry of a rejected cell", st)
 	}
 }
 
@@ -280,7 +312,7 @@ func TestDistributedCustomSchemeConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local RunMatrix: %v", err)
 	}
-	dist, err := boomsim.RunMatrixDistributed(ctx, sims,
+	dist, err := runDistributed(ctx, sims,
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithRetryBackoff(time.Millisecond, 50*time.Millisecond),
 	)

@@ -79,7 +79,6 @@
 //	cl, err := boomsim.NewCluster(boomsim.WithEndpoints("http://sim-1:8080", "http://sim-2:8080"))
 //	results, err := cl.RunMatrix(ctx, sims)
 //	// or: boomsim.RunMatrix(ctx, sims, boomsim.WithCluster(cl))
-//	// or: boomsim.RunMatrixDistributed(ctx, sims, boomsim.WithEndpoints(...))
 //
 // ErrNoWorkers and ErrWorkerFailed type the distributed failure modes;
 // Cluster.Stats and Cluster.MetricsHandler expose coordinator counters

@@ -14,10 +14,10 @@ var (
 	// workload that is not in the registry.
 	ErrUnknownWorkload = errors.New("boomsim: unknown workload")
 
-	// ErrCanceled is returned by Run, RunCMP and RunMatrix when the context
-	// fires before the simulation completes. It wraps the context's own
-	// error, so errors.Is(err, context.Canceled) (or DeadlineExceeded)
-	// also holds.
+	// ErrCanceled is returned by Run and RunMatrix when the context fires
+	// before the simulation completes. It wraps the context's own error,
+	// so errors.Is(err, context.Canceled) (or DeadlineExceeded) also
+	// holds.
 	ErrCanceled = errors.New("boomsim: run canceled")
 
 	// ErrInvalidOption is returned by New when an option carries an

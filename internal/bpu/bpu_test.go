@@ -166,7 +166,8 @@ func TestTAGESnapshotRestore(t *testing.T) {
 		tg.Shift(rng.Bool(0.5))
 	}
 	pc := isa.Addr(0x4444)
-	snap := tg.Snapshot()
+	var snap HistState
+	tg.SnapshotInto(&snap)
 	before := tg.Predict(pc)
 	// Wander down a wrong path.
 	for i := 0; i < 100; i++ {
@@ -184,7 +185,8 @@ func TestTAGESnapshotIsolation(t *testing.T) {
 	// Snapshots must be value copies: mutating the predictor afterwards must
 	// not alter an earlier snapshot's effect.
 	tg := NewTAGE(8)
-	snapEmpty := tg.Snapshot()
+	var snapEmpty HistState
+	tg.SnapshotInto(&snapEmpty)
 	for i := 0; i < 50; i++ {
 		tg.Shift(true)
 	}
@@ -372,8 +374,8 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 
 func BenchmarkTAGESnapshot(b *testing.B) {
 	tg := NewTAGE(8)
+	var s HistState
 	for i := 0; i < b.N; i++ {
-		s := tg.Snapshot()
-		_ = s
+		tg.SnapshotInto(&s)
 	}
 }

@@ -5,9 +5,9 @@
 //
 // Direction predictors are used speculatively by the decoupled front end:
 // Predict consults the current (speculative) global history, Shift pushes a
-// speculative outcome, and Snapshot/Restore implement squash recovery. The
-// counters themselves are updated non-speculatively at branch resolution via
-// Update, using the metadata captured at prediction time.
+// speculative outcome, and SnapshotInto/Restore implement squash recovery.
+// The counters themselves are updated non-speculatively at branch resolution
+// via Update, using the metadata captured at prediction time.
 package bpu
 
 import (
@@ -52,10 +52,8 @@ type Direction interface {
 	Update(p Prediction, pc isa.Addr, taken bool)
 	// Shift pushes a speculative conditional outcome into global history.
 	Shift(taken bool)
-	// Snapshot captures speculative history for squash recovery.
-	Snapshot() HistState
-	// SnapshotInto writes the snapshot into *s (the per-entry hot path:
-	// no temporary copy of the history state).
+	// SnapshotInto captures speculative history for squash recovery into
+	// *s (the per-entry hot path: no temporary copy of the history state).
 	SnapshotInto(s *HistState)
 	// Restore rewinds speculative history to a snapshot.
 	Restore(HistState)
@@ -81,9 +79,6 @@ func (*NeverTaken) Update(Prediction, isa.Addr, bool) {}
 
 // Shift implements Direction.
 func (*NeverTaken) Shift(bool) {}
-
-// Snapshot implements Direction.
-func (*NeverTaken) Snapshot() HistState { return HistState{} }
 
 // SnapshotInto implements Direction.
 func (*NeverTaken) SnapshotInto(s *HistState) { *s = HistState{} }
@@ -141,9 +136,6 @@ func (b *Bimodal) Update(p Prediction, pc isa.Addr, taken bool) {
 
 // Shift implements Direction.
 func (b *Bimodal) Shift(bool) {}
-
-// Snapshot implements Direction.
-func (b *Bimodal) Snapshot() HistState { return HistState{} }
 
 // SnapshotInto implements Direction.
 func (b *Bimodal) SnapshotInto(s *HistState) { *s = HistState{} }

@@ -293,13 +293,6 @@ func (t *TAGE) Shift(taken bool) {
 	t.hist.shift(bit)
 }
 
-// Snapshot implements Direction.
-func (t *TAGE) Snapshot() HistState {
-	var s HistState
-	t.SnapshotInto(&s)
-	return s
-}
-
 // SnapshotInto implements Direction, writing the snapshot in place (the
 // engine captures one per FTQ entry; writing straight into the entry avoids
 // copying the 88-byte state through a temporary).

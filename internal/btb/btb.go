@@ -165,8 +165,6 @@ func (b *BTB) PublishStats(r *stats.Registry) {
 type PrefetchBuffer struct {
 	entries  []Entry
 	capacity int
-	hits     uint64
-	inserted uint64
 }
 
 // NewPrefetchBuffer builds a buffer with the given capacity (32 in the
@@ -192,7 +190,6 @@ func (p *PrefetchBuffer) Insert(e Entry) {
 		p.entries = p.entries[:len(p.entries)-1]
 	}
 	p.entries = append(p.entries, e)
-	p.inserted++
 }
 
 // Take removes and returns the entry for start, if buffered.
@@ -201,7 +198,6 @@ func (p *PrefetchBuffer) Take(start isa.Addr) (Entry, bool) {
 		if p.entries[i].Start == start {
 			e := p.entries[i]
 			p.entries = append(p.entries[:i], p.entries[i+1:]...)
-			p.hits++
 			return e, true
 		}
 	}
@@ -210,9 +206,6 @@ func (p *PrefetchBuffer) Take(start isa.Addr) (Entry, bool) {
 
 // Len returns the current occupancy.
 func (p *PrefetchBuffer) Len() int { return len(p.entries) }
-
-// Stats returns hit and insert counts.
-func (p *PrefetchBuffer) Stats() (hits, inserted uint64) { return p.hits, p.inserted }
 
 // Predecoder extracts branch metadata from fetched cache lines. In hardware
 // this decodes raw instruction bytes; here the static image plays the role

@@ -111,9 +111,6 @@ func (t *TwoLevel) PublishStats(r *stats.Registry) {
 	r.SetUint("group_wraps", t.stats.GroupWraps)
 }
 
-// L2 exposes the second level (tests).
-func (t *TwoLevel) L2() *BTB { return t.l2 }
-
 // Handle implements the MissHandler contract: probe the L2 BTB, paying its
 // access latency; on a hit, preload the neighbourhood and return the entry.
 func (t *TwoLevel) Handle(pc isa.Addr, now int64) (Entry, int64, bool) {

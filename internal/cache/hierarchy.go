@@ -77,8 +77,7 @@ type pbufEntry struct {
 
 // Hierarchy is one core's instruction-supply path: L1-I + prefetch buffer +
 // MSHRs in front of a shared LLC and memory. The LLC is modelled privately
-// per simulated core (the multi-core harness runs one hierarchy per core with
-// the shared capacity divided), with its round-trip latency taken from the
+// for the simulated core, with its round-trip latency taken from the
 // interconnect model.
 //
 // MSHRs live in a preallocated slab indexed by an open-addressed line table
@@ -291,12 +290,6 @@ func (h *Hierarchy) Prefetch(line Line, now int64) bool {
 	h.allocMSHR(line, ready, false)
 	h.stats.Prefetches++
 	return true
-}
-
-// DemandLatencyBound returns when a demand issued now for a line absent
-// everywhere would complete — used by schemes that want the worst case.
-func (h *Hierarchy) DemandLatencyBound(now int64) int64 {
-	return now + int64(h.cfg.LLCLatency+h.cfg.MemLatency)
 }
 
 // LLCRoundTrip exposes the configured LLC round-trip latency (prefetchers

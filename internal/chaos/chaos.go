@@ -84,9 +84,6 @@ func NewTransport(base http.RoundTripper, seed uint64, plan Plan) *Transport {
 // errInjected marks a chaos-injected transport failure.
 var errInjected = errors.New("chaos: injected transport failure")
 
-// IsInjected reports whether err originated from a chaos Transport.
-func IsInjected(err error) bool { return errors.Is(err, errInjected) }
-
 // RoundTrip implements http.RoundTripper with the plan's fault mix.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.spare != nil && t.spare(req) {

@@ -156,20 +156,3 @@ func (c Core) Validate() error {
 	}
 	return nil
 }
-
-// CMP describes the chip-level organisation used by the multi-core harness.
-type CMP struct {
-	// Cores is the core count (16 in Table I).
-	Cores int
-	// MeshDim is the mesh dimension (4 for the 4x4 2D mesh).
-	MeshDim int
-	// HopLatency is the per-hop link+router latency (3 cycles).
-	HopLatency int
-	// LLCBankLatency is the bank access time added to network traversal.
-	LLCBankLatency int
-}
-
-// DefaultCMP returns the Table I chip organisation.
-func DefaultCMP() CMP {
-	return CMP{Cores: 16, MeshDim: 4, HopLatency: 3, LLCBankLatency: 5}
-}

@@ -99,10 +99,3 @@ func TestValidateCatchesBadValues(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultCMP(t *testing.T) {
-	cmp := DefaultCMP()
-	if cmp.Cores != 16 || cmp.MeshDim != 4 || cmp.HopLatency != 3 {
-		t.Error("Table I CMP is 16-core 4x4 mesh at 3 cycles/hop")
-	}
-}

@@ -2,7 +2,9 @@ package statkit
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func close(a, b float64) bool {
@@ -27,6 +29,8 @@ func TestMoments(t *testing.T) {
 		{"five", []float64{98, 103, 99, 104, 100}, 100.8, 2.5884358211089695, 1.1575836902790226},
 		{"constant", []float64{7, 7, 7, 7}, 7, 0, 0},
 		{"negative", []float64{-2, 2}, 0, 2.8284271247461903, 2},
+		// textbook sample: variance 32/7, so std sqrt(32/7) and sem sqrt(4/7)
+		{"known-values", []float64{2, 4, 4, 4, 5, 5, 7, 9}, 5, 2.138089935299395, 0.7559289460184544},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,5 +88,82 @@ func TestSummarize(t *testing.T) {
 	zero := Summarize(nil)
 	if zero != (Summary{}) {
 		t.Errorf("empty summary = %+v, want zero value", zero)
+	}
+}
+
+// TestTCriticalMonotone pins the shape of the whole table, not just the
+// sampled rows TestTCritical95 checks: the critical value never grows with
+// the degrees of freedom, and the table meets the normal tail from above.
+func TestTCriticalMonotone(t *testing.T) {
+	prev := math.Inf(1)
+	for df := 1; df <= 200; df++ {
+		v := TCritical95(df)
+		if v > prev {
+			t.Fatalf("TCritical95 grows at df=%d: %v > %v", df, v, prev)
+		}
+		if v < 1.959964 {
+			t.Fatalf("TCritical95(%d) = %v, below the normal value", df, v)
+		}
+		prev = v
+	}
+}
+
+// TestCI95ShrinksWithN pins that more seeds give a narrower interval for
+// the same distribution.
+func TestCI95ShrinksWithN(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		return xs
+	}
+	small, large := Summarize(draw(5)), Summarize(draw(500))
+	if ws, wl := small.CI95Hi-small.CI95Lo, large.CI95Hi-large.CI95Lo; wl >= ws {
+		t.Fatalf("CI95 width %v at n=500, want below %v at n=5", wl, ws)
+	}
+}
+
+// TestCI95Coverage checks the interval does its job at experiment seed
+// counts: over many 3- and 5-seed samples from a normal distribution, the
+// 95% interval contains the true mean about 95% of the time. Using the
+// normal 1.96 instead of the Student-t value would cover only ~80% at n=3.
+func TestCI95Coverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const trueMean, trials = 1.5, 4000
+	for _, n := range []int{3, 5} {
+		contained := 0
+		xs := make([]float64, n)
+		for trial := 0; trial < trials; trial++ {
+			for i := range xs {
+				xs[i] = trueMean + 0.2*rng.NormFloat64()
+			}
+			if s := Summarize(xs); s.CI95Lo <= trueMean && trueMean <= s.CI95Hi {
+				contained++
+			}
+		}
+		if frac := float64(contained) / trials; frac < 0.93 || frac > 0.97 {
+			t.Errorf("n=%d: CI95 coverage %.3f, want ~0.95", n, frac)
+		}
+	}
+}
+
+// TestVarianceNonNegativeProperty checks Summarize on arbitrary samples:
+// the spread is never negative or NaN, and the interval brackets the mean.
+func TestVarianceNonNegativeProperty(t *testing.T) {
+	if err := quick.Check(func(vals []float64) bool {
+		xs := make([]float64, 0, len(vals))
+		for _, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			// Bound magnitude to avoid float overflow artifacts.
+			xs = append(xs, math.Mod(v, 1e6))
+		}
+		s := Summarize(xs)
+		return s.StdDev >= 0 && s.StdErr >= 0 && s.CI95Lo <= s.Mean && s.Mean <= s.CI95Hi
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 }

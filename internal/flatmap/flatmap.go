@@ -152,14 +152,6 @@ func (m *Map) Clone() Map {
 	return c
 }
 
-// Reset empties the map, keeping its capacity.
-func (m *Map) Reset() {
-	for i := range m.used {
-		m.used[i] = false
-	}
-	m.n = 0
-}
-
 func (m *Map) grow() {
 	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
 	m.init(len(oldKeys) * 2)

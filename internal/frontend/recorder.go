@@ -1,6 +1,11 @@
 package frontend
 
-import "boomsim/internal/cache"
+import (
+	"errors"
+	"fmt"
+
+	"boomsim/internal/cache"
+)
 
 // Epoch is one flight-recorder sample: the deltas of the timeline-relevant
 // counters over a window of StartCycle..StartCycle+Cycles (cycles counted
@@ -23,10 +28,14 @@ type Epoch struct {
 	DemandMisses     uint64
 }
 
-// DefaultMaxEpochs bounds a recorder when the caller does not: a 100M-cycle
-// run at the documented 10K-cycle epoch is 10K epochs, so 64K covers every
-// realistic window while capping recorder memory at a few MB.
-const DefaultMaxEpochs = 65536
+// MaxEpochs bounds a recorder: a 100M-cycle run at the documented 10K-cycle
+// epoch is 10K epochs, so 64K covers every realistic window while capping
+// recorder memory at a few MB.
+const MaxEpochs = 65536
+
+// ErrRecorderFull is returned by StopFlightRecorder when the recorded window
+// needed more than MaxEpochs epochs: the epochs would no longer tile it.
+var ErrRecorderFull = errors.New("frontend: flight recorder full")
 
 // Recorder is the simulator flight recorder: it snapshots the engine's
 // cheap value-type counters at every epoch boundary and stores the deltas.
@@ -46,17 +55,14 @@ type Recorder struct {
 }
 
 // StartFlightRecorder attaches a recorder sampling every `every` cycles
-// into at most maxEpochs epochs (DefaultMaxEpochs when <= 0); further
-// epochs are counted as dropped. Attach after the warmup boundary
-// (ResetStats) so the first epoch starts at measured-cycle zero. A second
-// call replaces the previous recorder.
-func (e *Engine) StartFlightRecorder(every int64, maxEpochs int) {
+// into at most MaxEpochs epochs; a window that needs more makes
+// StopFlightRecorder fail with ErrRecorderFull. Attach after the warmup
+// boundary (ResetStats) so the first epoch starts at measured-cycle zero. A
+// second call replaces the previous recorder.
+func (e *Engine) StartFlightRecorder(every int64) {
 	if every <= 0 {
 		e.rec = nil
 		return
-	}
-	if maxEpochs <= 0 {
-		maxEpochs = DefaultMaxEpochs
 	}
 	e.rec = &Recorder{
 		every:     every,
@@ -65,32 +71,28 @@ func (e *Engine) StartFlightRecorder(every int64, maxEpochs int) {
 		lastCycle: e.cycle,
 		prevStats: e.Stats(),
 		prevHier:  e.hier.Stats(),
-		epochs:    make([]Epoch, 0, maxEpochs),
+		epochs:    make([]Epoch, 0, MaxEpochs),
 	}
 }
 
 // StopFlightRecorder flushes the final (possibly partial) epoch, detaches
 // the recorder, and returns the recorded epochs. It returns nil when no
-// recorder was attached.
-func (e *Engine) StopFlightRecorder() []Epoch {
+// recorder was attached, and ErrRecorderFull when any epoch was dropped.
+func (e *Engine) StopFlightRecorder() ([]Epoch, error) {
 	r := e.rec
 	if r == nil {
-		return nil
+		return nil, nil
 	}
 	e.rec = nil
 	if e.cycle > r.lastCycle {
 		r.capture(e)
 	}
-	return r.epochs
-}
-
-// FlightRecorderDropped reports epochs discarded at the recorder bound
-// (0 when no recorder was ever attached).
-func (e *Engine) FlightRecorderDropped() uint64 {
-	if e.rec == nil {
-		return 0
+	if r.dropped > 0 {
+		window := e.cycle - r.base
+		return nil, fmt.Errorf("%w: %d-cycle epochs over a %d-cycle window need %d epochs, over the bound of %d",
+			ErrRecorderFull, r.every, window, (window+r.every-1)/r.every, MaxEpochs)
 	}
-	return e.rec.dropped
+	return r.epochs, nil
 }
 
 // roll captures the epoch ending at the current cycle and advances the
@@ -104,11 +106,6 @@ func (r *Recorder) roll(e *Engine) {
 func (r *Recorder) capture(e *Engine) {
 	if len(r.epochs) == cap(r.epochs) {
 		r.dropped++
-		// Keep the delta baseline moving so a later resize (never in-tree)
-		// or the dropped count stays meaningful.
-		r.prevStats = e.Stats()
-		r.prevHier = e.hier.Stats()
-		r.lastCycle = e.cycle
 		return
 	}
 	s := e.Stats()

@@ -125,11 +125,7 @@ const (
 	Conditional
 	// Unconditional means a jump/call/return redirected the stream.
 	Unconditional
-	numDiscClasses
 )
-
-// NumDiscontinuityClasses is the count of DiscontinuityClass values.
-const NumDiscontinuityClasses = int(numDiscClasses)
 
 var discNames = [...]string{
 	Sequential:    "sequential",

@@ -137,9 +137,6 @@ func (p *DIP) Tick(int64) {}
 // OnDemand, so Tick never has scheduled work.
 func (p *DIP) NextEvent(int64) int64 { return cache.NoEvent }
 
-// TableEntries returns the table capacity (storage accounting).
-func (p *DIP) TableEntries() int { return len(p.table) }
-
 // PublishStats registers the prefetcher's counters under its namespace of
 // the per-component statistics registry.
 func (p *DIP) PublishStats(r *stats.Registry) {

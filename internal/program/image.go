@@ -80,9 +80,6 @@ func (b *Block) FallThrough() isa.Addr {
 	return b.Addr + isa.Addr(b.NInstr)*isa.InstrBytes
 }
 
-// Bytes returns the block size in bytes.
-func (b *Block) Bytes() uint64 { return uint64(b.NInstr) * isa.InstrBytes }
-
 // Function is a contiguous run of basic blocks with a single entry.
 type Function struct {
 	// Entry is the address of the first block.

@@ -38,7 +38,6 @@ type Walker struct {
 	// making it one of the hottest accesses in the simulator.
 	occ []uint32
 
-	steps      uint64
 	instrs     uint64
 	maxDepth   int
 	entryClass isa.DiscontinuityClass
@@ -61,9 +60,6 @@ func NewWalker(img *Image, seed uint64) *Walker {
 
 // PC returns the start address of the next block to execute.
 func (w *Walker) PC() isa.Addr { return w.pc }
-
-// Steps returns the number of blocks executed so far.
-func (w *Walker) Steps() uint64 { return w.steps }
 
 // Instructions returns the number of instructions executed so far.
 func (w *Walker) Instructions() uint64 { return w.instrs }
@@ -90,7 +86,6 @@ func (w *Walker) Next() Step {
 	step := Step{Block: b, Taken: taken, Target: target, EntryClass: w.entryClass}
 	w.entryClass = isa.ClassOf(b.Term.Kind, taken)
 	w.pc = target
-	w.steps++
 	w.instrs += uint64(b.NInstr)
 	return step
 }

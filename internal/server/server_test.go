@@ -514,6 +514,25 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderOverflowIsBadRequest pins that a flight-recorder epoch
+// too fine for the window is the client's mistake: a 400 naming the full
+// recorder, and nothing cached, so the repeat fails the same way instead of
+// serving a timeline that stops partway through the window. The overflow is
+// known only after the run, so it is no TestRequestValidation case.
+func TestFlightRecorderOverflowIsBadRequest(t *testing.T) {
+	s := newTestService(t, Config{})
+	body := json.RawMessage(`{"workload":"Apache","footprint_kb":64,"warm_instrs":0,"measure_instrs":100000,"flight_every":1}`)
+	for i := 1; i <= 2; i++ {
+		code, raw := s.post(t, "/v1/run", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), "flight recorder full") {
+			t.Fatalf("request %d: status %d: %s, want 400 naming the full recorder", i, code, raw)
+		}
+	}
+	if st := s.srv.Stats(); st.SimsStarted != 2 || st.CacheHits != 0 {
+		t.Errorf("stats = %+v, want 2 simulations and no cache hit", st)
+	}
+}
+
 // TestFlightGroupRefcountCancel pins the singleflight cancellation
 // contract directly: the flight context dies only when the last waiter
 // leaves or the base context fires.

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
 )
 
@@ -92,6 +96,28 @@ func TestFlightRecorderEpochsTileWindow(t *testing.T) {
 	if int64(cycles) != one.Cycles || one.Instructions != instrs {
 		t.Fatalf("coarse epoch (%d cycles, %d instrs) != fine-grained sums (%d, %d)",
 			one.Cycles, one.Instructions, cycles, instrs)
+	}
+}
+
+// TestFlightRecorderOverflowFails pins the recorder bound: a window that
+// needs more than MaxEpochs epochs fails the run instead of returning a
+// timeline that stops partway through it, and the error says by how much.
+func TestFlightRecorderOverflowFails(t *testing.T) {
+	spec := fastSpec(scheme.Base(), fastProfile("Apache"))
+	window := MustRun(spec).Stats.Cycles
+	if window <= frontend.MaxEpochs {
+		t.Fatalf("window of %d cycles fits the recorder; the test needs one that does not", window)
+	}
+	spec.FlightEvery = 1
+	r, err := RunContext(context.Background(), spec, Hooks{})
+	if !errors.Is(err, frontend.ErrRecorderFull) {
+		t.Fatalf("err = %v with %d epochs over a %d-cycle window, want ErrRecorderFull",
+			err, len(r.Epochs), window)
+	}
+	want := fmt.Sprintf("1-cycle epochs over a %d-cycle window need %d epochs, over the bound of %d",
+		window, window, frontend.MaxEpochs)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %q, want it to contain %q", err, want)
 	}
 }
 

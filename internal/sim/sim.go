@@ -3,7 +3,7 @@
 // (mirroring the paper's SMARTS-style methodology of measuring from warmed
 // microarchitectural state). It also provides the comparative metrics the
 // figures report — stall-cycle coverage and speedup versus the no-prefetch
-// baseline — and a multi-core harness for chip-level throughput.
+// baseline.
 package sim
 
 import (
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 
 	"boomsim/internal/cache"
 	"boomsim/internal/config"
@@ -198,14 +197,18 @@ func RunContext(ctx context.Context, spec Spec, h Hooks) (Result, error) {
 	// post-warm; forks inherit that reset), so epoch zero starts at measured
 	// cycle zero and epochs tile exactly the measurement window.
 	if spec.FlightEvery > 0 {
-		inst.Engine.StartFlightRecorder(spec.FlightEvery, 0)
+		inst.Engine.StartFlightRecorder(spec.FlightEvery)
 	}
 	if err := runWindow(ctx, inst.Engine, spec.MeasureInstrs, spec.MaxCycles, chunk, h.Progress); err != nil {
 		return Result{}, err
 	}
 	r := collectResult(spec, inst)
 	if spec.FlightEvery > 0 {
-		r.Epochs = inst.Engine.StopFlightRecorder()
+		epochs, err := inst.Engine.StopFlightRecorder()
+		if err != nil {
+			return Result{}, err
+		}
+		r.Epochs = epochs
 	}
 	return r, nil
 }
@@ -420,98 +423,4 @@ func stallsPerInstr(stalls, instrs uint64) float64 {
 		return 0
 	}
 	return float64(stalls) / float64(instrs)
-}
-
-// CMPSpec describes a chip-level run: N independent cores executing the
-// same workload from distinct walk seeds (the paper's homogeneous server
-// consolidation), each with its share of the shared LLC.
-type CMPSpec struct {
-	Spec
-	Cores int
-}
-
-// CMPResult aggregates chip throughput: the paper measures the ratio of
-// application instructions to total cycles.
-type CMPResult struct {
-	PerCore []Result
-	// Throughput is total retired instructions divided by the slowest
-	// core's cycles (all cores run the same instruction budget).
-	Throughput float64
-}
-
-// RunCMP runs the cores concurrently (they are microarchitecturally
-// independent; sharing is modelled through the LLC capacity each hierarchy
-// is built with).
-func RunCMP(spec CMPSpec) (CMPResult, error) {
-	return RunCMPContext(context.Background(), spec, Hooks{})
-}
-
-// RunCMPContext is RunCMP with cooperative cancellation: every core's
-// simulation loop checks ctx at h.ProgressEvery granularity, so canceling
-// stops the whole chip promptly. h.Progress is not propagated — the cores
-// run concurrently, so per-core progress callbacks would interleave
-// meaninglessly.
-//
-// Per-core errors reduce under the same policy RunMatrix documents: genuine
-// simulation failures outrank cancellation noise, and among genuine failures
-// the lowest core index wins, so the same failure surfaces no matter how the
-// cores' cancellations interleave.
-func RunCMPContext(ctx context.Context, spec CMPSpec, h Hooks) (CMPResult, error) {
-	if spec.Cores <= 0 {
-		spec.Cores = config.DefaultCMP().Cores
-	}
-	results := make([]Result, spec.Cores)
-	errs := make([]error, spec.Cores)
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Cores; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := spec.Spec
-			s.WalkSeed = spec.WalkSeed + uint64(i)*7919
-			// All cores execute the same binary, so the shared LLC holds one
-			// copy of the code: each core sees the full capacity for
-			// instructions (the paper's homogeneous-consolidation setup).
-			results[i], errs[i] = RunContext(ctx, s, Hooks{ProgressEvery: h.ProgressEvery})
-		}(i)
-	}
-	wg.Wait()
-	if err := firstGenuineError(errs); err != nil {
-		return CMPResult{}, err
-	}
-	var instrs uint64
-	var maxCycles int64
-	for _, r := range results {
-		instrs += r.Stats.RetiredInstrs
-		if r.Stats.Cycles > maxCycles {
-			maxCycles = r.Stats.Cycles
-		}
-	}
-	out := CMPResult{PerCore: results}
-	if maxCycles > 0 {
-		out.Throughput = float64(instrs) / float64(maxCycles)
-	}
-	return out, nil
-}
-
-// firstGenuineError reduces per-worker errors under the matrix policy:
-// genuine simulation failures outrank cancellation noise and the lowest
-// index wins; when only cancellation remains, the lowest-index cancellation
-// is returned. At this layer cancellation appears as the raw context
-// sentinels (the public package wraps them in its ErrCanceled afterwards).
-func firstGenuineError(errs []error) error {
-	var cancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cancel == nil {
-				cancel = err
-			}
-			continue
-		}
-		return err
-	}
-	return cancel
 }

@@ -186,28 +186,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
-func TestRunCMP(t *testing.T) {
-	w := fastProfile("Nutch")
-	spec := CMPSpec{Spec: fastSpec(scheme.FDIP(), w), Cores: 4}
-	spec.MeasureInstrs = 150_000
-	spec.WarmInstrs = 50_000
-	res, err := RunCMP(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerCore) != 4 {
-		t.Fatalf("expected 4 cores, got %d", len(res.PerCore))
-	}
-	if res.Throughput <= res.PerCore[0].IPC {
-		t.Fatal("chip throughput should exceed one core's IPC")
-	}
-	// Distinct walk seeds must give (at least slightly) distinct behaviour.
-	if res.PerCore[0].Stats.Cycles == res.PerCore[1].Stats.Cycles &&
-		res.PerCore[0].Stats.TotalSquashes() == res.PerCore[1].Stats.TotalSquashes() {
-		t.Fatal("per-core runs look identical; walk seeds not applied")
-	}
-}
-
 func TestBoomerangStorageTiny(t *testing.T) {
 	// Section VI-D: Boomerang's overhead is 540 bytes; Confluence's SHIFT
 	// machinery alone is two orders of magnitude bigger in aggregate.

@@ -324,39 +324,3 @@ func TestRunWindowNoProgress(t *testing.T) {
 		t.Fatalf("healthy engine: got %v, want nil", err)
 	}
 }
-
-func TestFirstGenuineError(t *testing.T) {
-	genuine := errors.New("simulation exploded")
-	wrapped := fmt.Errorf("core 3: %w", context.Canceled)
-	cases := []struct {
-		name string
-		errs []error
-		want error
-	}{
-		{"all nil", []error{nil, nil}, nil},
-		{"cancellation before genuine failure", []error{context.Canceled, genuine}, genuine},
-		{"genuine failure before cancellation", []error{genuine, context.Canceled}, genuine},
-		{"wrapped cancellation before genuine failure", []error{nil, wrapped, genuine}, genuine},
-		{"deadline before genuine failure", []error{context.DeadlineExceeded, genuine}, genuine},
-		{"only cancellation", []error{nil, wrapped, context.Canceled}, wrapped},
-	}
-	for _, tc := range cases {
-		if got := firstGenuineError(tc.errs); got != tc.want {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestRunCMPContextCancellation pins the unified policy end to end: a chip
-// run whose cores were all cancelled reports the cancellation (not a
-// fabricated success), and the error is the raw context sentinel for the
-// public layer to wrap.
-func TestRunCMPContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	spec := CMPSpec{Spec: fastSpec(scheme.Base(), fastProfile("Apache")), Cores: 2}
-	_, err := RunCMPContext(ctx, spec, Hooks{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}

@@ -1,3 +1,7 @@
+// Package stats holds the Registry: the named per-component counters every
+// simulated component publishes and every layer of the stack reports.
+// Confidence intervals over repeated runs are computed in one place,
+// internal/exp/statkit.
 package stats
 
 import (

@@ -368,7 +368,4 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 var _ FS = OSFS{}

@@ -67,14 +67,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int64n returns a uniform int64 in [0, n). n must be > 0.
-func (s *Stream) Int64n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int64n with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -145,10 +137,7 @@ func NewZipf(n int, theta float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of items the distribution covers.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws an index in [0, N()).
+// Sample draws an index in [0, n).
 func (z *Zipf) Sample(s *Stream) int {
 	u := s.Float64()
 	// Binary search for the first cdf entry >= u.

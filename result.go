@@ -96,15 +96,6 @@ type ClassCounts struct {
 	Unconditional uint64 `json:"unconditional"`
 }
 
-// CMPResult aggregates a chip-level run.
-type CMPResult struct {
-	// PerCore holds each core's individual Result.
-	PerCore []Result `json:"per_core"`
-	// Throughput is total retired instructions divided by the slowest
-	// core's cycles — the paper's chip-level metric.
-	Throughput float64 `json:"throughput"`
-}
-
 func newResult(r sim.Result, storageKB float64) Result {
 	st := r.Stats
 	out := Result{

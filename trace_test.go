@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"regexp"
+	"strings"
 	"testing"
 
 	"boomsim"
@@ -245,5 +247,20 @@ func TestWithFlightRecorderOnResult(t *testing.T) {
 	if p.IPC != r.IPC || p.Cycles != r.Cycles || p.Instructions != r.Instructions {
 		t.Errorf("recorded run diverged: IPC %v vs %v, cycles %d vs %d",
 			r.IPC, p.IPC, r.Cycles, p.Cycles)
+	}
+}
+
+// TestFlightRecorderOverflowIsInvalidOption pins the public side of the
+// recorder bound: epochs too fine for the window fail Run with
+// ErrInvalidOption naming the full recorder, and no partial timeline comes
+// back with the error.
+func TestFlightRecorderOverflowIsInvalidOption(t *testing.T) {
+	s := mustSim(t, boomsim.WithWindow(0, 100_000), boomsim.WithFlightRecorder(1))
+	r, err := s.Run(context.Background())
+	if !errors.Is(err, boomsim.ErrInvalidOption) || !strings.Contains(err.Error(), "flight recorder full") {
+		t.Fatalf("err = %v, want ErrInvalidOption naming the full recorder", err)
+	}
+	if r.Epochs != nil || r.Instructions != 0 {
+		t.Fatalf("failed run returned a result with %d epochs over %d instructions", len(r.Epochs), r.Instructions)
 	}
 }
