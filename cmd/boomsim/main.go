@@ -10,8 +10,8 @@
 //	boomsim -scheme FDIP -workload Zeus -predictor never-taken
 //	boomsim -scheme Boomerang -workload Apache -json
 //	boomsim -scheme-file my-scheme.json -workload DB2 -stats
-//	boomsim -remote http://sim-1:8080 -scheme FDIP -workload DB2
-//	boomsim -remote http://sim-1:8080 -scheme-file my-scheme.json
+//	boomsim -remote http://sim-1:8080 -scheme FDIP -workload DB2 -baseline
+//	boomsim -remote http://sim-1:8080 -scheme-file my-scheme.json -json
 //	boomsim -scheme Boomerang -workload Apache -flight-every 50000 -json
 //	boomsim -scheme Boomerang -workload Apache -trace-out run.trace.json
 //	boomsim -list
@@ -22,6 +22,10 @@
 // squashes), and text output summarises the epochs. -trace-out writes the
 // run (and its -baseline, when asked) as Chrome trace_event JSON loadable
 // in Perfetto or chrome://tracing.
+//
+// -remote runs the same simulations on a boomsimd worker instead of locally
+// and prints exactly what the local run prints; with -trace-out the trace
+// then holds each run's queue, dispatch and worker-side sim spans.
 package main
 
 import (
@@ -35,8 +39,6 @@ import (
 	"strings"
 
 	"boomsim"
-	"boomsim/internal/cluster"
-	"boomsim/internal/wire"
 )
 
 func main() {
@@ -53,7 +55,7 @@ func main() {
 		baseline    = flag.Bool("baseline", false, "also run the Base scheme and report speedup/coverage")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON instead of text")
 		list        = flag.Bool("list", false, "list registered schemes and workloads, then exit")
-		remote      = flag.String("remote", "", "run on a boomsimd at this base URL instead of locally (implies -json output)")
+		remote      = flag.String("remote", "", "run on a boomsimd at this base URL instead of locally")
 		schemeFile  = flag.String("scheme-file", "", "run a custom declarative scheme from this JSON file instead of -scheme (see EXPERIMENTS.md)")
 		showStats   = flag.Bool("stats", false, "also print the full per-component statistics registry, grouped by namespace")
 		flightEvery = flag.Int64("flight-every", 0, "attach the simulator flight recorder at this epoch granularity in cycles (0 = off)")
@@ -78,35 +80,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		customScheme = &cfg
-	}
-
-	if *remote != "" {
-		if *baseline {
-			fatalf("-remote supports single runs only (no -baseline)")
-		}
-		if *traceOut != "" {
-			fatalf("-trace-out traces local runs; remote sweeps are traced by boomctl")
-		}
-		req := wire.RunRequest{
-			Scheme:     *schemeName,
-			Workload:   *wlName,
-			Predictor:  *predictor,
-			BTBEntries: *btb,
-			LLCLatency: *llc,
-			ImageSeed:  imageSeed, WalkSeed: walkSeed,
-			WarmInstrs: warm, MeasureInstrs: measure,
-			FlightEvery: *flightEvery,
-		}
-		if customScheme != nil {
-			raw, err := json.Marshal(customScheme)
-			if err != nil {
-				fatalf("encoding scheme config: %v", err)
-			}
-			req.Scheme = ""
-			req.SchemeConfig = raw
-		}
-		runRemote(ctx, *remote, req)
-		return
 	}
 
 	newSim := func(scheme string) (*boomsim.Simulation, error) {
@@ -137,21 +110,35 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// With -trace-out even a single run goes through RunMatrix, which is
-	// where span recording lives; results are identical either way.
+	// A remote or traced run goes through RunMatrix, where the cluster and
+	// span recording live; results are identical either way.
 	var trace *boomsim.Trace
+	if *traceOut != "" {
+		trace = boomsim.NewTrace()
+	}
+	var matrixOpts []boomsim.MatrixOption
+	if *remote != "" {
+		clusterOpts := []boomsim.ClusterOption{boomsim.WithEndpoints(*remote)}
+		if trace != nil {
+			clusterOpts = append(clusterOpts, boomsim.WithClusterTrace(trace))
+		}
+		cl, err := boomsim.NewCluster(clusterOpts...)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		matrixOpts = append(matrixOpts, boomsim.WithCluster(cl))
+	} else if trace != nil {
+		matrixOpts = append(matrixOpts, boomsim.WithMatrixTrace(trace))
+	}
 	runOne := func(s *boomsim.Simulation) (boomsim.Result, error) {
-		if trace == nil {
+		if len(matrixOpts) == 0 {
 			return s.Run(ctx)
 		}
-		rs, err := boomsim.RunMatrix(ctx, []*boomsim.Simulation{s}, boomsim.WithMatrixTrace(trace))
+		rs, err := boomsim.RunMatrix(ctx, []*boomsim.Simulation{s}, matrixOpts...)
 		if err != nil {
 			return boomsim.Result{}, err
 		}
 		return rs[0], nil
-	}
-	if *traceOut != "" {
-		trace = boomsim.NewTrace()
 	}
 	writeTrace := func() {
 		if trace == nil {
@@ -242,26 +229,6 @@ func printEpochs(r boomsim.Result, every int64) {
 			worst, worstIPC, we.StartCycle, we.BTBMisses, we.Squashes)
 		fmt.Printf("    best epoch         #%d IPC %.3f (cycle %d, %d prefetch hits)\n",
 			best, bestIPC, be.StartCycle, be.PrefetchHits)
-	}
-}
-
-// runRemote posts the configuration to a boomsimd's /v1/run through the
-// shared retrying client — transport errors and 429 backpressure (with its
-// Retry-After hint) are retried with jittered backoff — and prints the
-// response JSON verbatim.
-func runRemote(ctx context.Context, base string, req wire.RunRequest) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		fatalf("encoding request: %v", err)
-	}
-	client := &cluster.RetryClient{}
-	raw, err := client.PostJSON(ctx, strings.TrimRight(base, "/")+"/v1/run", body)
-	if err != nil {
-		fatalf("remote run: %v", err)
-	}
-	os.Stdout.Write(raw)
-	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
-		fmt.Println()
 	}
 }
 

@@ -4,8 +4,6 @@
 // Endpoints:
 //
 //	POST /v1/run       one configuration -> JSON result (content-cached)
-//	POST /v1/matrix    batch of configurations -> order-stable results,
-//	                   executed as one all-or-nothing flight
 //	POST /v1/jobs      batch of independent jobs -> per-job results and
 //	                   per-job errors (429 carries retry_after_ms); the
 //	                   endpoint the boomctl cluster coordinator speaks

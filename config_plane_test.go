@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -168,6 +171,22 @@ func TestParseSchemeConfigRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := boomsim.ParseSchemeConfig([]byte(bad)); err == nil {
 			t.Errorf("ParseSchemeConfig(%s) accepted garbage", bad)
+		}
+	}
+}
+
+// TestSchemeConfigRejectsNonFiniteStorage pins that a storage overhead JSON
+// cannot carry is a configuration error at New and RegisterScheme, not a
+// panic later in Key. JSON has no NaN, so ParseSchemeConfig cannot take
+// these cases.
+func TestSchemeConfigRejectsNonFiniteStorage(t *testing.T) {
+	for _, kb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := boomsim.SchemeConfig{Name: fmt.Sprintf("storage-%v", kb), FTQDepth: 32, StorageOverheadKB: kb}
+		if _, err := boomsim.New(boomsim.WithSchemeConfig(cfg)); !errors.Is(err, boomsim.ErrInvalidOption) {
+			t.Errorf("New with storage_overhead_kb %v: err = %v, want ErrInvalidOption", kb, err)
+		}
+		if err := boomsim.RegisterScheme(cfg); !errors.Is(err, boomsim.ErrInvalidOption) {
+			t.Errorf("RegisterScheme with storage_overhead_kb %v: err = %v, want ErrInvalidOption", kb, err)
 		}
 	}
 }

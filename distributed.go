@@ -262,122 +262,36 @@ func (c *Cluster) RunMatrix(ctx context.Context, sims []*Simulation) ([]Result, 
 }
 
 // Stats snapshots the coordinator counters; safe during a running sweep.
-func (c *Cluster) Stats() ClusterStats {
-	s := c.coord.Stats()
-	out := ClusterStats{
-		JobsDispatched: s.JobsDispatched,
-		JobsCompleted:  s.JobsCompleted,
-		JobsResumed:    s.JobsResumed,
-		JobsRetried:    s.JobsRetried,
-		JobsHedged:     s.JobsHedged,
-		CacheHits:      s.CacheHits,
-		WorkerDeaths:   s.WorkerDeaths,
-		WorkersJoined:  s.WorkersJoined,
-		WorkersRemoved: s.WorkersRemoved,
-		CellsTotal:     s.CellsTotal,
-		CellsRetried:   s.CellsRetried,
-		SlowestCellMS:  s.SlowestCellMS,
-		Workers:        make([]ClusterWorkerStats, len(s.Workers)),
-	}
-	for _, sc := range s.SlowestCells {
-		out.SlowestCells = append(out.SlowestCells, ClusterCellTiming(sc))
-	}
-	for i, w := range s.Workers {
-		out.Workers[i] = ClusterWorkerStats(w)
-	}
-	return out
-}
+func (c *Cluster) Stats() ClusterStats { return c.coord.Stats() }
 
 // MembershipView reports the coordinator's live opinion of its worker pool:
 // one row per tracked endpoint with its circuit-breaker state ("live",
 // "suspect" while a half-open breaker probes, "dead" while open or
 // retired), plus the aggregate counts. Safe during a running sweep.
-func (c *Cluster) MembershipView() ClusterMembershipView {
-	v := c.coord.MembershipView()
-	out := ClusterMembershipView{Live: v.Live, Suspect: v.Suspect, Dead: v.Dead}
-	for _, w := range v.Workers {
-		out.Workers = append(out.Workers, ClusterMemberState{Endpoint: w.Endpoint, State: w.State})
-	}
-	return out
-}
-
-// ClusterMembershipView is a Cluster's pool as the coordinator sees it.
-type ClusterMembershipView struct {
-	Live    int                  `json:"live"`
-	Suspect int                  `json:"suspect"`
-	Dead    int                  `json:"dead"`
-	Workers []ClusterMemberState `json:"workers"`
-}
-
-// ClusterMemberState is one worker endpoint's circuit state.
-type ClusterMemberState struct {
-	Endpoint string `json:"endpoint"`
-	State    string `json:"state"`
-}
+func (c *Cluster) MembershipView() ClusterMembershipView { return c.coord.MembershipView() }
 
 // MetricsHandler serves the coordinator's counters in Prometheus text
 // format: jobs dispatched/retried/hedged, cache-hit ratio, per-worker
 // request counts, failures and latency.
 func (c *Cluster) MetricsHandler() http.Handler { return c.coord.MetricsHandler() }
 
-// ClusterStats is a point-in-time snapshot of a Cluster's counters.
-type ClusterStats struct {
-	JobsDispatched uint64 `json:"jobs_dispatched"`
-	JobsCompleted  uint64 `json:"jobs_completed"`
-	// JobsResumed counts cells answered from the sweep journal without any
-	// dispatch; on a resumed sweep JobsCompleted is exactly the
-	// non-journaled remainder.
-	JobsResumed    uint64 `json:"jobs_resumed"`
-	JobsRetried    uint64 `json:"jobs_retried"`
-	JobsHedged     uint64 `json:"jobs_hedged"`
-	CacheHits      uint64 `json:"cache_hits"`
-	WorkerDeaths   uint64 `json:"worker_deaths"`
-	WorkersJoined  uint64 `json:"workers_joined"`
-	WorkersRemoved uint64 `json:"workers_removed"`
-
-	// CellsTotal counts cells settled across sweeps (completed plus resumed
-	// from a journal) and CellsRetried the distinct cells that needed at
-	// least one re-dispatch — maintained whether or not the sweep is traced.
-	CellsTotal   uint64 `json:"cells_total"`
-	CellsRetried uint64 `json:"cells_retried"`
-	// SlowestCellMS is the slowest settled cell's dispatch-to-settle wall
-	// time; SlowestCells the top-N leaderboard behind it, slowest first.
-	SlowestCellMS float64             `json:"slowest_cell_ms"`
-	SlowestCells  []ClusterCellTiming `json:"slowest_cells,omitempty"`
-
-	Workers []ClusterWorkerStats `json:"workers"`
-}
-
-// ClusterCellTiming is one row of a Cluster's slowest-cells leaderboard.
-type ClusterCellTiming struct {
-	Key    string  `json:"key"`
-	Worker string  `json:"worker"`
-	MS     float64 `json:"ms"`
-}
+// ClusterStats is a point-in-time snapshot of a Cluster's counters; its
+// CacheHitRatio is the fraction of completed cells answered from worker
+// result caches.
+type ClusterStats = cluster.Stats
 
 // ClusterWorkerStats is one worker endpoint's share of a Cluster's
 // counters.
-type ClusterWorkerStats struct {
-	Endpoint string `json:"endpoint"`
-	Alive    bool   `json:"alive"`
-	// State is the worker's circuit-breaker state: "live", "suspect",
-	// "dead" or "removed"; Alive means routable (live or suspect).
-	State        string `json:"state"`
-	Requests     uint64 `json:"requests"`
-	Failures     uint64 `json:"failures"`
-	Jobs         uint64 `json:"jobs"`
-	LatencyNanos uint64 `json:"latency_nanos"`
-}
+type ClusterWorkerStats = cluster.WorkerStats
 
-// CacheHitRatio is the coordinator-observed fraction of completed cells
-// answered from worker result caches — the number key-affine routing
-// exists to maximise on repeat sweeps.
-func (s ClusterStats) CacheHitRatio() float64 {
-	if s.JobsCompleted == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.JobsCompleted)
-}
+// ClusterCellTiming is one row of a Cluster's slowest-cells leaderboard.
+type ClusterCellTiming = cluster.CellTiming
+
+// ClusterMembershipView is a Cluster's pool as the coordinator sees it.
+type ClusterMembershipView = wire.MembershipView
+
+// ClusterMemberState is one worker endpoint's circuit state.
+type ClusterMemberState = wire.MembershipWorker
 
 // wireRequest spells out the simulation's full configuration — defaults
 // included — so the worker reconstructs the exact Key-identified cell
@@ -419,6 +333,8 @@ func wrapClusterError(err error) error {
 		return fmt.Errorf("%w: %w", ErrCellTimeout, err)
 	case errors.Is(err, cluster.ErrJournalMismatch):
 		return fmt.Errorf("%w: %w", ErrJournalMismatch, err)
+	case errors.Is(err, cluster.ErrJobInvalid):
+		return fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	default:

@@ -268,8 +268,12 @@ func TestDistributedRecorderOverflowFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RunMatrix(context.Background(), sims); err == nil || !strings.Contains(err.Error(), "flight recorder full") {
+	_, err = cl.RunMatrix(context.Background(), sims)
+	if err == nil || !strings.Contains(err.Error(), "flight recorder full") {
 		t.Fatalf("err = %v, want the worker's full-recorder rejection", err)
+	}
+	if !errors.Is(err, boomsim.ErrInvalidOption) {
+		t.Errorf("err = %v, want ErrInvalidOption as a local run returns", err)
 	}
 	if st := cl.Stats(); st.JobsRetried != 0 || st.CellsRetried != 0 {
 		t.Errorf("stats = %+v, want no retry of a rejected cell", st)

@@ -16,7 +16,7 @@ import (
 // Retry-After header sleeps for at least the server's hint, transport
 // errors and other 5xx responses back off exponentially with full jitter,
 // and non-retryable 4xx responses surface immediately as a *StatusError.
-// Both the cluster coordinator and `boomsim -remote` ride on it.
+// It is the coordinator's transport.
 type RetryClient struct {
 	// HTTP is the underlying client (default http.DefaultClient).
 	HTTP *http.Client

@@ -61,7 +61,14 @@ var (
 	// budget: attempts were still available, but CellTimeout elapsed since
 	// the cell's first dispatch.
 	ErrCellTimeout = errors.New("cluster: cell exceeded its retry wall-clock budget")
+	// ErrJobInvalid reports a job a worker rejected with a 400: its
+	// configuration is invalid, so no other worker would accept it either.
+	ErrJobInvalid = errors.New("cluster: job configuration rejected")
 )
+
+// probeTimeout bounds the per-worker /healthz probe at sweep start and on
+// membership joins.
+const probeTimeout = 2 * time.Second
 
 // Config sizes a Coordinator. Endpoints or MembershipFile is required;
 // everything else defaults sensibly.
@@ -114,16 +121,10 @@ type Config struct {
 	// next-preferred worker once the batch has been in flight this long
 	// (0 = hedging disabled).
 	HedgeAfter time.Duration
-	// JobTimeoutMS is forwarded as each batch's server-side deadline hint
-	// (0 = the worker's own cap).
-	JobTimeoutMS int64
 	// RequestTimeout caps one batch's total transport time, retries
 	// included (default 5m). A worker that accepts connections but never
 	// answers burns this budget, strikes out, and its keys move on.
 	RequestTimeout time.Duration
-	// ProbeTimeout bounds the per-worker /healthz probe at sweep start and
-	// on membership joins (default 2s; negative disables probing).
-	ProbeTimeout time.Duration
 	// Client is the transport (default a zero RetryClient: 3 attempts,
 	// 100ms base backoff, Retry-After honored).
 	Client *RetryClient
@@ -161,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MembershipInterval <= 0 {
 		c.MembershipInterval = time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Minute
@@ -585,9 +583,9 @@ func (st *runState) cellSpan(j int, b *batch, jr wire.JobResult, resumed bool) {
 	}
 }
 
-// healthProbe checks one endpoint's /healthz within timeout.
-func healthProbe(ctx context.Context, httpc *http.Client, endpoint string, timeout time.Duration) bool {
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+// healthProbe checks one endpoint's /healthz within probeTimeout.
+func healthProbe(ctx context.Context, httpc *http.Client, endpoint string) bool {
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, endpoint+"/healthz", nil)
 	if err != nil {
@@ -606,9 +604,6 @@ func healthProbe(ctx context.Context, httpc *http.Client, endpoint string, timeo
 // start the sweep retired so their keys route elsewhere from the first
 // batch. (A membership re-add can still revive them mid-sweep.)
 func (st *runState) probe(ctx context.Context) error {
-	if st.cfg.ProbeTimeout < 0 {
-		return nil
-	}
 	httpc := st.cfg.Client.httpClient()
 	failed := make([]bool, len(st.workers))
 	var wg sync.WaitGroup
@@ -616,7 +611,7 @@ func (st *runState) probe(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, w *workerState) {
 			defer wg.Done()
-			failed[i] = !healthProbe(ctx, httpc, w.endpoint, st.cfg.ProbeTimeout)
+			failed[i] = !healthProbe(ctx, httpc, w.endpoint)
 		}(i, w)
 	}
 	wg.Wait()
@@ -777,8 +772,7 @@ func (st *runState) launch(w *workerState, idxs []int) {
 			st.firstTry[j] = b.started
 		}
 	}
-	body, err := json.Marshal(wire.JobsRequest{Jobs: reqs, TimeoutMS: st.cfg.JobTimeoutMS,
-		TraceID: st.cfg.TraceID})
+	body, err := json.Marshal(wire.JobsRequest{Jobs: reqs, TraceID: st.cfg.TraceID})
 	if err != nil {
 		// Unreachable for wire types; fail through the event path so the
 		// loop's accounting stays consistent.
@@ -865,8 +859,12 @@ func (st *runState) handle(ev batchEvent) error {
 			continue
 		}
 		if !jr.Retryable() {
-			return fmt.Errorf("cluster: worker %s rejected job %q: %s (http %d)",
+			err := fmt.Errorf("worker %s rejected job %q: %s (http %d)",
 				w.endpoint, st.jobs[j].Key, jr.Error, jr.Status)
+			if jr.Status == http.StatusBadRequest {
+				return fmt.Errorf("%w: %w", ErrJobInvalid, err)
+			}
+			return fmt.Errorf("cluster: %w", err)
 		}
 		if jr.Status == http.StatusServiceUnavailable {
 			sawDraining = true
@@ -1031,7 +1029,7 @@ func (st *runState) reconcileMembership() {
 		if (w == nil || w.state == wsRemoved) && !st.probing[ep] {
 			st.probing[ep] = true
 			go func(ep string) {
-				ok := healthProbe(st.ctx, httpc, ep, st.cfg.ProbeTimeout)
+				ok := healthProbe(st.ctx, httpc, ep)
 				st.sendJoin(joinEvent{endpoint: ep, ok: ok})
 			}(ep)
 		}

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 
 	"boomsim/internal/core"
 	"boomsim/internal/prefetch"
@@ -163,8 +164,9 @@ func (c Config) Validate() error {
 	if c.LLCReservedKB < 0 {
 		return fail("llc_reserved_kb must be >= 0, got %d", c.LLCReservedKB)
 	}
-	if c.StorageOverheadKB < 0 {
-		return fail("storage_overhead_kb must be >= 0, got %g", c.StorageOverheadKB)
+	// JSON, the config's cache key and wire form, cannot carry NaN or ±Inf.
+	if kb := c.StorageOverheadKB; kb < 0 || math.IsNaN(kb) || math.IsInf(kb, 0) {
+		return fail("storage_overhead_kb must be finite and >= 0, got %g", c.StorageOverheadKB)
 	}
 	if !knownPredictors[c.Predictor] {
 		return fail("unknown predictor %q (have: tage, bimodal, never-taken)", c.Predictor)

@@ -23,8 +23,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,10 +48,7 @@ const Version = "0.4.0"
 // documented defaults.
 type Config struct {
 	// Workers bounds concurrently executing simulations (default
-	// GOMAXPROCS). A matrix flight claims one worker slot plus whatever
-	// spare capacity exists when it starts (up to its requested
-	// parallelism) and fans out through RunMatrix at exactly that width,
-	// so the bound holds server-wide.
+	// GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds admitted flights — queued plus running — before
 	// requests are rejected with 429 (default 4×Workers). Requests that
@@ -101,9 +96,9 @@ var errQueueFull = errors.New("server: simulation queue full")
 // errDraining rejects new flights once Close has begun, surfaced as 503.
 var errDraining = errors.New("server: draining")
 
-// maxMatrixRuns bounds one matrix request; larger sweeps should be split so
+// maxJobs bounds one /v1/jobs batch; larger sweeps should be split so
 // backpressure stays meaningful.
-const maxMatrixRuns = 256
+const maxJobs = 256
 
 // Server is the simulation service. Create it with New, expose Handler on
 // an http.Server, and Close it to drain: Close cancels every queued and
@@ -164,7 +159,6 @@ func (s *Server) Stats() Stats { return s.m.snapshot() }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /v1/schemes", s.handleSchemes)
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -194,7 +188,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // RunRequest is the wire form of one simulation configuration (shared with
-// the cluster coordinator and remote CLI clients through internal/wire).
+// the cluster coordinator through internal/wire).
 // Absent fields take New's documented defaults (Boomerang on Apache, Table
 // I core, seeds 1/1, 200K warm + 1M measured instructions).
 type RunRequest = wire.RunRequest
@@ -207,25 +201,6 @@ type RunResponse struct {
 	// simulating (a singleflight-collapsed request still reports false).
 	Cached bool           `json:"cached"`
 	Result boomsim.Result `json:"result"`
-}
-
-// MatrixRequest is a batch of configurations executed as one order-stable
-// matrix.
-type MatrixRequest struct {
-	Runs []RunRequest `json:"runs"`
-	// Parallelism bounds the matrix's internal fan-out (0 = server
-	// Workers; capped at server Workers).
-	Parallelism int   `json:"parallelism,omitempty"`
-	TimeoutMS   int64 `json:"timeout_ms,omitempty"`
-}
-
-// MatrixResponse carries results in request order.
-type MatrixResponse struct {
-	// Key fingerprints the whole batch; Cached reports whether every cell
-	// was already in the result cache.
-	Key     string           `json:"key"`
-	Cached  bool             `json:"cached"`
-	Results []boomsim.Result `json:"results"`
 }
 
 func (s *Server) runOptions(req RunRequest) ([]boomsim.Option, error) {
@@ -431,114 +406,11 @@ func (s *Server) runFlight(ctx context.Context, sim *boomsim.Simulation, key str
 	return v.(boomsim.Result), nil
 }
 
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Add(1)
-	var req MatrixRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("matrix has no runs"))
-		return
-	}
-	if len(req.Runs) > maxMatrixRuns {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("matrix has %d runs, limit %d — split the sweep", len(req.Runs), maxMatrixRuns))
-		return
-	}
-
-	sims := make([]*boomsim.Simulation, len(req.Runs))
-	keys := make([]string, len(req.Runs))
-	for i, rr := range req.Runs {
-		sim, err := s.newSim(rr)
-		if err != nil {
-			writeError(w, s.statusFor(err), fmt.Errorf("runs[%d]: %w", i, err))
-			return
-		}
-		sims[i] = sim
-		keys[i] = sim.Fingerprint()
-	}
-	batchKey := matrixKey(keys)
-
-	// Fast path: every cell already computed (by earlier runs, matrices,
-	// or single-run requests — the cache is shared across endpoints).
-	if results, ok := s.cachedCells(keys); ok {
-		s.m.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, MatrixResponse{Key: batchKey, Cached: true, Results: results})
-		return
-	}
-	s.m.cacheMisses.Add(1)
-
-	parallelism := req.Parallelism
-	if parallelism <= 0 || parallelism > s.cfg.Workers {
-		parallelism = s.cfg.Workers
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	v, _, err := s.flights.do(ctx, s.baseCtx, batchKey, s.admit, s.spawn,
-		func(fctx context.Context) (any, error) {
-			defer s.release()
-			// Re-check the cache per cell inside the flight: other runs or
-			// matrices may have filled cells since the fast-path check, and
-			// a mostly-cached sweep should only simulate its misses.
-			results := make([]boomsim.Result, len(sims))
-			var missing []int
-			for i, k := range keys {
-				if e, ok := s.cacheGet(k); ok {
-					results[i] = e.result
-				} else {
-					missing = append(missing, i)
-				}
-			}
-			if len(missing) == 0 {
-				return results, nil
-			}
-			sub := make([]*boomsim.Simulation, len(missing))
-			for j, i := range missing {
-				sub[j] = sims[i]
-			}
-			want := parallelism
-			if want > len(missing) {
-				want = len(missing)
-			}
-			got, err := s.acquireWorkers(fctx, want)
-			if err != nil {
-				return nil, err
-			}
-			defer s.releaseWorkers(got)
-			s.m.simsInflight.Add(int64(got)) // reserved fan-out width
-			defer s.m.simsInflight.Add(-int64(got))
-			start := time.Now()
-			subResults, err := boomsim.RunMatrix(fctx, sub, boomsim.WithParallelism(got))
-			if err != nil {
-				return nil, err
-			}
-			var instrs uint64
-			for j, i := range missing {
-				results[i] = subResults[j]
-				s.cacheAdd(keys[i], subResults[j])
-				instrs += subResults[j].Instructions
-				s.m.observeComponents(subResults[j])
-			}
-			s.m.simsStarted.Add(uint64(len(subResults)))
-			s.m.simNanos.Add(uint64(time.Since(start)))
-			s.m.simInstrs.Add(instrs)
-			return results, nil
-		})
-	if err != nil {
-		writeError(w, s.statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MatrixResponse{Key: batchKey, Cached: false, Results: v.([]boomsim.Result)})
-}
-
 // handleJobs executes a batch of independent jobs: each one resolves
 // through the cache → singleflight → worker-pool path on its own, and each
-// reports its own success or failure. This is the endpoint the cluster
-// coordinator speaks — key-affine routing wants per-cell cache visibility
-// and per-cell retryability, which the all-or-nothing /v1/matrix flight
-// deliberately does not offer.
+// reports its own success or failure, in request order. This is the
+// endpoint the cluster coordinator speaks: key-affine routing wants
+// per-cell cache visibility and per-cell retryability.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	var req wire.JobsRequest
@@ -549,9 +421,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("batch has no jobs"))
 		return
 	}
-	if len(req.Jobs) > maxMatrixRuns {
+	if len(req.Jobs) > maxJobs {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d jobs, limit %d — split it", len(req.Jobs), maxMatrixRuns))
+			fmt.Errorf("batch has %d jobs, limit %d — split it", len(req.Jobs), maxJobs))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
@@ -629,30 +501,6 @@ func (s *Server) jobError(err error) wire.JobResult {
 	return jr
 }
 
-func (s *Server) cachedCells(keys []string) ([]boomsim.Result, bool) {
-	results := make([]boomsim.Result, len(keys))
-	for i, k := range keys {
-		e, ok := s.cacheGet(k)
-		if !ok {
-			return nil, false
-		}
-		results[i] = e.result
-	}
-	return results, true
-}
-
-// matrixKey content-addresses a batch: the hash of its cell fingerprints in
-// request order. Parallelism is excluded — results are identical at any
-// fan-out (a property the root package's fuzz tests pin).
-func matrixKey(keys []string) string {
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
-	}
-	return "matrix-" + hex.EncodeToString(h.Sum(nil))
-}
-
 // admit claims one unit of queue capacity — and registers the flight with
 // the shutdown WaitGroup — or reports errQueueFull/errDraining. It is
 // called by the flight group only when a new flight would start; the
@@ -692,34 +540,6 @@ func (s *Server) acquireWorker(ctx context.Context) error {
 }
 
 func (s *Server) releaseWorker() { <-s.sem }
-
-// acquireWorkers claims one worker slot (blocking, cancelable) plus any
-// immediately-spare capacity up to want, returning the claimed count.
-// Greedy but bounded: claimed slots server-wide never exceed Workers — the
-// package invariant — while a matrix on an idle server fans out to full
-// width, and on a busy one degrades toward sequential instead of
-// oversubscribing.
-func (s *Server) acquireWorkers(ctx context.Context, want int) (int, error) {
-	if err := s.acquireWorker(ctx); err != nil {
-		return 0, err
-	}
-	got := 1
-	for got < want {
-		select {
-		case s.sem <- struct{}{}:
-			got++
-		default:
-			return got, nil
-		}
-	}
-	return got, nil
-}
-
-func (s *Server) releaseWorkers(n int) {
-	for i := 0; i < n; i++ {
-		<-s.sem
-	}
-}
 
 // simulate executes one run on a worker slot with full instrumentation.
 func (s *Server) simulate(ctx context.Context, sim *boomsim.Simulation) (boomsim.Result, error) {

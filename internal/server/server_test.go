@@ -341,58 +341,6 @@ func TestAbandonedFlightIsCanceledNotLeaked(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-func TestMatrixEndpoint(t *testing.T) {
-	s := newTestService(t, Config{Workers: 4})
-	runs := []RunRequest{
-		fastRun("Base", "Apache", 61),
-		fastRun("FDIP", "Apache", 61),
-		fastRun("Boomerang", "Apache", 61),
-		fastRun("Boomerang", "DB2", 61),
-	}
-	code, raw := s.post(t, "/v1/matrix", MatrixRequest{Runs: runs, Parallelism: 8})
-	if code != http.StatusOK {
-		t.Fatalf("matrix: status %d: %s", code, raw)
-	}
-	var mr MatrixResponse
-	if err := json.Unmarshal(raw, &mr); err != nil {
-		t.Fatal(err)
-	}
-	if mr.Cached || len(mr.Results) != len(runs) {
-		t.Fatalf("matrix response: cached=%v, %d results, want fresh with %d", mr.Cached, len(mr.Results), len(runs))
-	}
-	for i, res := range mr.Results {
-		if res.Scheme != runs[i].Scheme || res.Workload != runs[i].Workload {
-			t.Errorf("results[%d] = %s/%s, want %s/%s (order-stable)",
-				i, res.Scheme, res.Workload, runs[i].Scheme, runs[i].Workload)
-		}
-	}
-
-	// The matrix populated the shared per-cell cache: a single-run request
-	// for any cell is a hit, and the identical matrix is fully cached.
-	code, raw = s.post(t, "/v1/run", runs[2])
-	if code != http.StatusOK {
-		t.Fatalf("cell run: status %d: %s", code, raw)
-	}
-	if rr := decodeRun(t, raw); !rr.Cached || !reflect.DeepEqual(rr.Result, mr.Results[2]) {
-		t.Errorf("cell not served from the matrix-populated cache (cached=%v)", rr.Cached)
-	}
-	code, raw = s.post(t, "/v1/matrix", MatrixRequest{Runs: runs})
-	if code != http.StatusOK {
-		t.Fatalf("repeat matrix: status %d: %s", code, raw)
-	}
-	var again MatrixResponse
-	if err := json.Unmarshal(raw, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached || !reflect.DeepEqual(again.Results, mr.Results) {
-		t.Errorf("repeat matrix: cached=%v, results equal=%v, want fully cached and identical",
-			again.Cached, reflect.DeepEqual(again.Results, mr.Results))
-	}
-	if st := s.srv.Stats(); st.SimsStarted != uint64(len(runs)) {
-		t.Errorf("%d sims for matrix + cached repeats, want %d", st.SimsStarted, len(runs))
-	}
-}
-
 func TestRegistryAndHealthEndpoints(t *testing.T) {
 	s := newTestService(t, Config{})
 
@@ -461,10 +409,7 @@ func TestRequestValidation(t *testing.T) {
 		{"history too large to allocate", "/v1/run", RunRequest{SchemeConfig: json.RawMessage(
 			`{"name":"x","prefetcher":{"kind":"temporal","temporal":{"history_entries":4611686018427387904,"index_entries":8,"region_lines":4,"lookahead":8}}}`)},
 			http.StatusBadRequest},
-		{"huge cell", "/v1/matrix", MatrixRequest{Runs: []RunRequest{{BTBEntries: math.MaxInt}}}, http.StatusBadRequest},
-		{"empty matrix", "/v1/matrix", MatrixRequest{}, http.StatusBadRequest},
-		{"bad cell", "/v1/matrix", MatrixRequest{Runs: []RunRequest{{Scheme: "no-such"}}}, http.StatusNotFound},
-		{"oversized matrix", "/v1/matrix", MatrixRequest{Runs: make([]RunRequest, maxMatrixRuns+1)}, http.StatusBadRequest},
+		{"retired matrix endpoint", "/v1/matrix", json.RawMessage(`{"runs":[{}]}`), http.StatusNotFound},
 	}
 	for _, c := range cases {
 		if code, raw := s.post(t, c.path, c.body); code != c.want {
@@ -650,15 +595,17 @@ func TestAbandonedFlightDoesNotPoisonSuccessors(t *testing.T) {
 }
 
 // TestJobsEndpoint exercises the batch surface the cluster coordinator
-// speaks: independent per-job execution, per-job errors with status and
-// backoff hints, and per-job cache visibility on repeats.
+// speaks: independent per-job execution in request order, per-job errors
+// with status and backoff hints, and a result cache shared with /v1/run.
 func TestJobsEndpoint(t *testing.T) {
-	s := newTestService(t, Config{})
+	s := newTestService(t, Config{Workers: 4})
 	batch := wire.JobsRequest{Jobs: []RunRequest{
 		fastRun("Base", "Apache", 501),
 		{Scheme: "NoSuchScheme"},
-		fastRun("FDIP", "DB2", 501),
+		fastRun("FDIP", "Apache", 501),
+		fastRun("Boomerang", "DB2", 501),
 	}}
+	good := []int{0, 2, 3}
 	code, raw := s.post(t, "/v1/jobs", batch)
 	if code != http.StatusOK {
 		t.Fatalf("POST /v1/jobs: status %d body %s", code, raw)
@@ -667,37 +614,58 @@ func TestJobsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		t.Fatalf("decoding jobs response: %v", err)
 	}
-	if len(resp.Jobs) != 3 {
-		t.Fatalf("got %d job results, want 3", len(resp.Jobs))
+	if len(resp.Jobs) != len(batch.Jobs) {
+		t.Fatalf("got %d job results, want %d", len(resp.Jobs), len(batch.Jobs))
 	}
-	for _, i := range []int{0, 2} {
+	results := make([]boomsim.Result, len(batch.Jobs))
+	for _, i := range good {
 		jr := resp.Jobs[i]
-		if jr.Error != "" || len(jr.Result) == 0 || jr.Key == "" {
-			t.Errorf("jobs[%d] = %+v, want a keyed result", i, jr)
+		if jr.Error != "" || len(jr.Result) == 0 || jr.Key == "" || jr.Cached {
+			t.Errorf("jobs[%d] = %+v, want a fresh keyed result", i, jr)
 		}
-		var r boomsim.Result
-		if err := json.Unmarshal(jr.Result, &r); err != nil || r.Instructions == 0 {
+		if err := json.Unmarshal(jr.Result, &results[i]); err != nil || results[i].Instructions == 0 {
 			t.Errorf("jobs[%d] result undecodable or empty: %v", i, err)
+		}
+		if got, want := results[i], batch.Jobs[i]; got.Scheme != want.Scheme || got.Workload != want.Workload {
+			t.Errorf("jobs[%d] = %s/%s, want %s/%s (request order)", i, got.Scheme, got.Workload, want.Scheme, want.Workload)
 		}
 	}
 	if bad := resp.Jobs[1]; bad.Error == "" || bad.Status != http.StatusNotFound || bad.Retryable() {
 		t.Errorf("jobs[1] = %+v, want non-retryable 404", bad)
 	}
 
-	// The same batch again: the good cells must now be cache hits.
+	// The batch populated the per-cell cache /v1/run shares: a single run of
+	// any cell is a hit with the same result.
+	code, raw = s.post(t, "/v1/run", batch.Jobs[3])
+	if code != http.StatusOK {
+		t.Fatalf("cell run: status %d: %s", code, raw)
+	}
+	if rr := decodeRun(t, raw); !rr.Cached || rr.Key != resp.Jobs[3].Key || !reflect.DeepEqual(rr.Result, results[3]) {
+		t.Errorf("cell not served from the batch-populated cache (cached=%v)", rr.Cached)
+	}
+
+	// The same batch again: every good cell is a cache hit with the same
+	// bytes, and no cell was simulated twice.
 	_, raw = s.post(t, "/v1/jobs", batch)
-	if err := json.Unmarshal(raw, &resp); err != nil {
+	var again wire.JobsResponse
+	if err := json.Unmarshal(raw, &again); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Jobs[0].Cached || !resp.Jobs[2].Cached {
-		t.Errorf("repeat batch not served from cache: %+v", resp.Jobs)
+	for _, i := range good {
+		if jr := again.Jobs[i]; !jr.Cached || !bytes.Equal(jr.Result, resp.Jobs[i].Result) {
+			t.Errorf("repeat jobs[%d]: cached=%v, same bytes=%v, want a cache hit with identical bytes",
+				i, jr.Cached, bytes.Equal(jr.Result, resp.Jobs[i].Result))
+		}
+	}
+	if st := s.srv.Stats(); st.SimsStarted != uint64(len(good)) {
+		t.Errorf("%d sims for the batch, a cell run and a repeat, want %d", st.SimsStarted, len(good))
 	}
 
 	// Batch-level validation.
 	if code, _ := s.post(t, "/v1/jobs", wire.JobsRequest{}); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400", code)
 	}
-	big := wire.JobsRequest{Jobs: make([]RunRequest, maxMatrixRuns+1)}
+	big := wire.JobsRequest{Jobs: make([]RunRequest, maxJobs+1)}
 	if code, _ := s.post(t, "/v1/jobs", big); code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", code)
 	}

@@ -49,13 +49,13 @@ const warmArenaEntries = 256
 
 var warmArena = memo.New[*scheme.Instance](warmArenaEntries)
 
-// warmKeyOf projects spec onto its warm-relevant parameters. ok is false
-// when the scheme config cannot be serialised (no such built-in exists, but
-// user-authored configs are arbitrary data) — the caller then skips reuse.
-func warmKeyOf(spec Spec) (key string, ok bool) {
+// warmKeyOf projects spec onto its warm-relevant parameters.
+func warmKeyOf(spec Spec) string {
 	cfg, err := json.Marshal(spec.Scheme)
 	if err != nil {
-		return "", false
+		// Unreachable: scheme.Config is plain data and Validate rejects the
+		// non-finite floats JSON cannot carry.
+		panic(fmt.Sprintf("sim: marshaling scheme config: %v", err))
 	}
 	// The skip flag is result-irrelevant (byte-identity; see
 	// internal/frontend/skip.go) but still keyed: a control arm asking for
@@ -64,21 +64,17 @@ func warmKeyOf(spec Spec) (key string, ok bool) {
 	return fmt.Sprintf("scheme=%s|workload=%s/%d/%+v|walk=%d|pred=%q|core=%+v|warm=%d|noskip=%t",
 		cfg, spec.Workload.Name, spec.ImageSeed, spec.Workload.Gen,
 		spec.WalkSeed, spec.Predictor, spec.Cfg, spec.WarmInstrs,
-		noSkip(spec)), true
+		noSkip(spec))
 }
 
 // forkWarm returns a private fork of the memoised warmed instance for spec.
-// ok reports whether the arena could serve the request; on ok == false (key
-// not derivable, shared warm failed for a reason other than the caller's own
-// context, or a component was not clonable) the caller falls back to
-// building a private instance. A non-nil err is returned only for the
-// caller's own cancellation.
+// ok reports whether the arena could serve the request; on ok == false
+// (shared warm failed for a reason other than the caller's own context, or
+// a component was not clonable) the caller falls back to building a private
+// instance. A non-nil err is returned only for the caller's own
+// cancellation.
 func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error, bool) {
-	key, keyed := warmKeyOf(spec)
-	if !keyed {
-		return nil, nil, false
-	}
-	master, err := warmArena.Do(key, func() (*scheme.Instance, error) {
+	master, err := warmArena.Do(warmKeyOf(spec), func() (*scheme.Instance, error) {
 		return buildWarm(ctx, spec, chunk)
 	})
 	if err != nil {

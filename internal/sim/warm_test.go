@@ -208,10 +208,7 @@ func (c *cancelOnSecondErr) Err() error {
 func TestCanceledWarmDoesNotPoisonArena(t *testing.T) {
 	spec := fastSpec(scheme.FDIP(), fastProfile("Oracle"))
 	spec.WalkSeed = 77 // a key no other test warms
-	key, ok := warmKeyOf(spec)
-	if !ok {
-		t.Fatal("spec has no warm key")
-	}
+	key := warmKeyOf(spec)
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -256,7 +253,7 @@ func TestNoSkipEnvForcesPerCycleLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		st = inst.Engine.Run(100_000, 0)
-		key, _ = warmKeyOf(spec)
+		key = warmKeyOf(spec)
 		return st, inst.Engine.SkippedCycles(), key
 	}
 

@@ -1,9 +1,8 @@
-// Package wire defines the JSON types shared by boomsimd's HTTP API, the
-// cluster coordinator and remote-mode CLI clients. It deliberately imports
-// nothing from the rest of the module: the root boomsim package builds
-// these requests, internal/server serves them, and internal/cluster routes
-// them, so this is the one vocabulary all three may depend on without
-// import cycles.
+// Package wire defines the JSON types shared by boomsimd's HTTP API and the
+// cluster coordinator. It deliberately imports nothing from the rest of the
+// module: the root boomsim package builds these requests, internal/server
+// serves them, and internal/cluster routes them, so this is the one
+// vocabulary all three may depend on without import cycles.
 //
 // Simulation results travel as json.RawMessage here. The server marshals
 // boomsim.Result into the field; clients that want typed access (the root
@@ -57,10 +56,9 @@ type RunResponse struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// JobsRequest is a batch of independent jobs for POST /v1/jobs. Unlike
-// /v1/matrix — one flight, one shared fate — every job is admitted, cached
-// and executed on its own, and failures are reported per job so a
-// coordinator can re-dispatch exactly the cells that need it.
+// JobsRequest is a batch of independent jobs for POST /v1/jobs. Every job
+// is admitted, cached and executed on its own, and failures are reported
+// per job so a coordinator can re-dispatch exactly the cells that need it.
 type JobsRequest struct {
 	Jobs []RunRequest `json:"jobs"`
 	// TimeoutMS tightens the whole batch's deadline below the server cap.
