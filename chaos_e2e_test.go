@@ -170,7 +170,6 @@ func TestCrashSafeSweepSurvivesWorkerAndCoordinatorDeath(t *testing.T) {
 			boomsim.WithBatchSize(3),
 			boomsim.WithWorkerInFlight(1),
 			boomsim.WithJobAttempts(10),
-			boomsim.WithRetryBackoff(time.Millisecond, 20*time.Millisecond),
 			boomsim.WithJournal(journal),
 		}
 	}
@@ -261,7 +260,6 @@ func TestChaosTransportSweepByteIdentical(t *testing.T) {
 		boomsim.WithClusterClient(&http.Client{Transport: tr}),
 		boomsim.WithBatchSize(3),
 		boomsim.WithJobAttempts(20),
-		boomsim.WithRetryBackoff(time.Millisecond, 10*time.Millisecond),
 		boomsim.WithBreakerCooldown(10*time.Millisecond, 50*time.Millisecond),
 	)
 	if err != nil {
@@ -298,7 +296,6 @@ func TestChaosTornJournalResume(t *testing.T) {
 	first, err := runDistributed(ctx, sims,
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithJournal(journal),
-		boomsim.WithRetryBackoff(time.Millisecond, 20*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("journaled sweep: %v", err)
@@ -317,7 +314,6 @@ func TestChaosTornJournalResume(t *testing.T) {
 	cl, err := boomsim.NewCluster(
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithJournal(journal),
-		boomsim.WithRetryBackoff(time.Millisecond, 20*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("NewCluster (resume): %v", err)

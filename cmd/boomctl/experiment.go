@@ -28,7 +28,7 @@ func runExperimentCmd(args []string) {
 		jsonOut   = fs.Bool("json", false, "print the JSON report to stdout instead of the human-readable one")
 		jobs      = fs.Int("j", 0, "local worker pool size (0 = GOMAXPROCS; ignored with -endpoints)")
 		determ    = fs.Bool("deterministic", false, "omit the generated_at timestamp so the report is a pure function of the spec")
-		timeout   = fs.Duration("timeout", 5*time.Minute, "per-batch transport budget for distributed runs")
+		timeout   = fs.Duration("timeout", 5*time.Minute, "per-batch request timeout for distributed runs: one post, from send to the last byte of the answer")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: boomctl experiment [flags] <spec.json>

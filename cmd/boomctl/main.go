@@ -94,9 +94,9 @@ func main() {
 
 		inflight    = flag.Int("inflight", 2, "max in-flight batches per worker")
 		batch       = flag.Int("batch", 4, "cells per worker request")
-		retries     = flag.Int("retries", 4, "dispatch attempts per cell before the sweep fails")
+		retries     = flag.Int("retries", 4, "posts per cell before the sweep fails (a failed post or per-job error uses one; a per-job 429 does not)")
 		hedge       = flag.Duration("hedge", 0, "duplicate straggling cells after this in-flight time (0 = off)")
-		timeout     = flag.Duration("timeout", 5*time.Minute, "per-batch transport budget, retries included")
+		timeout     = flag.Duration("timeout", 5*time.Minute, "per-batch request timeout: one post, from send to the last byte of the answer")
 		journal     = flag.String("journal", "", "write-ahead log of completed cells; rerunning against it resumes the sweep")
 		resume      = flag.String("resume", "", "resume a crashed sweep from this journal (same as -journal, but the file must exist)")
 		membership  = flag.String("membership", "", `membership file ({"workers":[...]}) re-read during the sweep; overrides -workers as the authoritative pool`)

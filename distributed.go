@@ -16,10 +16,13 @@ import (
 // Cluster shards simulation matrices across a pool of boomsimd workers.
 // Every matrix cell is routed to a worker by rendezvous hashing on its
 // configuration Key, so each worker's content-addressed result cache stays
-// hot and repeating a sweep collapses to cache hits; backpressure (429 +
-// Retry-After), straggler hedging and worker-death re-dispatch are handled
-// by the coordinator, and results come back in matrix order, byte-identical
-// to a local RunMatrix of the same simulations.
+// hot and repeating a sweep collapses to cache hits; backpressure (per-job
+// 429s with a retry_after_ms hint), straggler hedging and worker-death
+// re-dispatch are handled by the coordinator, and results come back in
+// matrix order, byte-identical to a local RunMatrix of the same
+// simulations. Each batch is posted once: a failed post re-dispatches its
+// cells after a cooldown, charging each one attempt (WithJobAttempts) and
+// the worker one strike toward its circuit breaker.
 //
 // A Cluster is reusable across sweeps (worker liveness is re-probed per
 // run) and Stats/MetricsHandler are safe to read while a sweep runs.
@@ -83,19 +86,6 @@ func WithCellTimeout(d time.Duration) ClusterOption {
 	}
 }
 
-// WithBreakerCooldown tunes the per-worker circuit breaker: a worker whose
-// breaker opens rests for d before half-opening for a probe batch, doubling
-// up to max on repeated failures (defaults 1s and 30s).
-func WithBreakerCooldown(d, max time.Duration) ClusterOption {
-	return func(c *cluster.Config) error {
-		if d <= 0 || max < d {
-			return fmt.Errorf("%w: breaker cooldown needs 0 < base <= max, got %v, %v", ErrInvalidOption, d, max)
-		}
-		c.BreakerCooldown, c.BreakerMaxCooldown = d, max
-		return nil
-	}
-}
-
 // WithWorkerInFlight bounds concurrently outstanding batches per worker
 // (default 2) — the coordinator-side half of backpressure.
 func WithWorkerInFlight(n int) ClusterOption {
@@ -121,7 +111,8 @@ func WithBatchSize(n int) ClusterOption {
 }
 
 // WithJobAttempts bounds dispatch attempts per cell before the sweep fails
-// with ErrWorkerFailed (default 4).
+// with ErrWorkerFailed (default 4): a failed post of a batch carrying the
+// cell, or a per-job error, uses one; a per-job 429 does not.
 func WithJobAttempts(n int) ClusterOption {
 	return func(c *cluster.Config) error {
 		if n <= 0 {
@@ -146,22 +137,9 @@ func WithHedgeAfter(d time.Duration) ClusterOption {
 	}
 }
 
-// WithRetryBackoff tunes the transport's jittered exponential backoff
-// (defaults 100ms base, 5s cap); the cap also bounds honored Retry-After
-// hints.
-func WithRetryBackoff(base, max time.Duration) ClusterOption {
-	return func(c *cluster.Config) error {
-		if base <= 0 || max < base {
-			return fmt.Errorf("%w: retry backoff needs 0 < base <= max, got %v, %v", ErrInvalidOption, base, max)
-		}
-		ensureClient(c)
-		c.Client.BaseDelay, c.Client.MaxDelay = base, max
-		return nil
-	}
-}
-
-// WithClusterTimeout caps one batch's total transport time, retries
-// included (default 5m).
+// WithClusterTimeout caps one batch post, from send to the last byte of
+// the answer (default 5m). A post that runs out of time fails like any
+// other and its cells re-dispatch.
 func WithClusterTimeout(d time.Duration) ClusterOption {
 	return func(c *cluster.Config) error {
 		if d <= 0 {
@@ -179,8 +157,7 @@ func WithClusterClient(hc *http.Client) ClusterOption {
 		if hc == nil {
 			return fmt.Errorf("%w: nil cluster HTTP client", ErrInvalidOption)
 		}
-		ensureClient(c)
-		c.Client.HTTP = hc
+		c.HTTP = hc
 		return nil
 	}
 }
@@ -210,12 +187,6 @@ func WithClusterLogger(log *slog.Logger) ClusterOption {
 	return func(c *cluster.Config) error {
 		c.Logger = log
 		return nil
-	}
-}
-
-func ensureClient(c *cluster.Config) {
-	if c.Client == nil {
-		c.Client = &cluster.RetryClient{}
 	}
 }
 

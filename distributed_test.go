@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"boomsim"
+	"boomsim/internal/frontend"
 	"boomsim/internal/server"
+	"boomsim/internal/wire"
 )
 
 // testWorker is one in-process boomsimd: the real service handler on a real
@@ -104,7 +107,6 @@ func TestDistributedMatrixMatchesLocal(t *testing.T) {
 	cl, err := boomsim.NewCluster(
 		boomsim.WithEndpoints(endpoints(workers)...),
 		boomsim.WithBatchSize(4),
-		boomsim.WithRetryBackoff(time.Millisecond, 50*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -196,7 +198,6 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 		boomsim.WithBatchSize(3),
 		boomsim.WithWorkerInFlight(1),
 		boomsim.WithJobAttempts(10),
-		boomsim.WithRetryBackoff(time.Millisecond, 20*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -280,6 +281,100 @@ func TestDistributedRecorderOverflowFails(t *testing.T) {
 	}
 }
 
+// TestDistributedLargeRecorderResultMatchesLocal runs a cell whose
+// flight-recorder timeline is near the recorder's epoch cap (about 59K
+// epochs; its /v1/jobs answer is about 19 MB) through a one-worker cluster:
+// the coordinator must read the whole answer and return the local run's
+// bytes.
+func TestDistributedLargeRecorderResultMatchesLocal(t *testing.T) {
+	workers := startWorkers(t, 1)
+	sim, err := boomsim.New(boomsim.WithWorkload("Apache"),
+		boomsim.WithWindow(0, 100_000), boomsim.WithFlightRecorder(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	local, err := sim.Run(ctx)
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	if len(local.Epochs) < frontend.MaxEpochs/2 {
+		t.Fatalf("local run recorded %d epochs; the cell no longer yields a large answer", len(local.Epochs))
+	}
+	dist, err := runDistributed(ctx, []*boomsim.Simulation{sim}, boomsim.WithEndpoints(endpoints(workers)...))
+	if err != nil {
+		t.Fatalf("distributed run: %v", err)
+	}
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, dist[0])) {
+		t.Fatal("distributed result differs from the local run")
+	}
+}
+
+// TestMaxJobResultBytesHoldsLargestResult pins wire.MaxJobResultBytes, the
+// coordinator's per-job read cap, above the largest /v1/jobs entry a worker
+// can write: a Result with frontend.MaxEpochs epochs, every counter at its
+// longest encoding, every statistic any built-in scheme registers, and a
+// custom scheme name as long as a request body may be, made of characters
+// JSON escapes to six bytes each. The epochs are nearly all of it.
+func TestMaxJobResultBytesHoldsLargestResult(t *testing.T) {
+	var sims []*boomsim.Simulation
+	for _, sch := range boomsim.Schemes() {
+		sims = append(sims, mustSim(t, boomsim.WithScheme(sch.Name)))
+	}
+	runs, err := boomsim.RunMatrix(context.Background(), sims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -1.2345678901234567e-06 encodes as -0.0000012345678901234567, the
+	// longest float64 JSON encoding.
+	const longFloat = -1.2345678901234567e-06
+	stats := make(map[string]float64)
+	for _, r := range runs {
+		for k := range r.Stats {
+			stats[k] = longFloat
+		}
+	}
+	workload := ""
+	for _, wl := range boomsim.Workloads() {
+		if len(wl.Name) > len(workload) {
+			workload = wl.Name
+		}
+	}
+	const u, i = uint64(math.MaxUint64), int64(math.MaxInt64)
+	r := boomsim.Result{
+		Scheme: strings.Repeat("<", 1<<20), Workload: workload,
+		Instructions: u, Cycles: i, IPC: longFloat,
+		FetchStallCycles: u, StallFraction: longFloat,
+		StallCycles:             boomsim.ClassCounts{Sequential: u, Conditional: u, Unconditional: u},
+		MispredictSquashesPerKI: longFloat, BTBMissSquashesPerKI: longFloat,
+		BTBLookups: u, BTBMisses: u, BTBMissRate: longFloat, L1IMissesPerKI: longFloat,
+		Prefetches: u, LLCAccesses: u, LLCMisses: u, PredecodedLines: u, PrefetchMetaBytes: u,
+		StorageOverheadKB: longFloat, Stats: stats,
+		Epochs: make([]boomsim.Epoch, frontend.MaxEpochs),
+	}
+	for k := range r.Epochs {
+		r.Epochs[k] = boomsim.Epoch{StartCycle: i, Cycles: i, Instructions: u, FetchStallCycles: u,
+			FTQEmptyCycles: u, BTBMisses: u, Squashes: u, Prefetches: u, PrefetchHits: u, DemandMisses: u}
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// boomsimd writes every body with a two-space indent and a trailing
+	// newline; the indent reaches into the raw result.
+	var answer bytes.Buffer
+	enc := json.NewEncoder(&answer)
+	enc.SetIndent("", "  ")
+	jr := wire.JobResult{Key: sims[0].Fingerprint(), Cached: true, Result: raw, SimNanos: i, Warm: "fresh"}
+	if err := enc.Encode(wire.JobsResponse{Jobs: []wire.JobResult{jr}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("largest one-job /v1/jobs answer: %d bytes, cap %d", answer.Len(), wire.MaxJobResultBytes)
+	if answer.Len() > wire.MaxJobResultBytes {
+		t.Fatalf("a one-job answer takes %d bytes, above wire.MaxJobResultBytes = %d", answer.Len(), wire.MaxJobResultBytes)
+	}
+}
+
 func mustSim(t *testing.T, opts ...boomsim.Option) *boomsim.Simulation {
 	t.Helper()
 	opts = append([]boomsim.Option{
@@ -318,7 +413,6 @@ func TestDistributedCustomSchemeConfig(t *testing.T) {
 	}
 	dist, err := runDistributed(ctx, sims,
 		boomsim.WithEndpoints(endpoints(workers)...),
-		boomsim.WithRetryBackoff(time.Millisecond, 50*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("distributed RunMatrix: %v", err)

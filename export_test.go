@@ -1,5 +1,26 @@
 package boomsim
 
+import (
+	"fmt"
+	"time"
+
+	"boomsim/internal/cluster"
+)
+
+// WithBreakerCooldown tunes the per-worker circuit breaker: a worker whose
+// breaker opens rests for d before half-opening for a probe batch, doubling
+// up to max on repeated failures (defaults 1s and 30s). Only the chaos
+// suite sets it, to keep its fault storms short.
+func WithBreakerCooldown(d, max time.Duration) ClusterOption {
+	return func(c *cluster.Config) error {
+		if d <= 0 || max < d {
+			return fmt.Errorf("%w: breaker cooldown needs 0 < base <= max, got %v, %v", ErrInvalidOption, d, max)
+		}
+		c.BreakerCooldown, c.BreakerMaxCooldown = d, max
+		return nil
+	}
+}
+
 // WithWarmReuse and WithCycleSkip are test-only options. Production runs
 // always reuse warm state and skip cycles, unless BOOMSIM_NO_SKIP=1 turns
 // skipping off process-wide; skip_test.go and BenchmarkMatrix18x7NoReuse

@@ -32,8 +32,9 @@ type Plan struct {
 	// PKill drops the request with a transport error — indistinguishable
 	// from a worker dying mid-connection.
 	PKill float64
-	// P503 synthesizes a 503 with a Retry-After: 0 header, the shape a
-	// draining boomsimd answers with.
+	// P503 synthesizes a whole-request 503: an overloaded proxy or load
+	// balancer in front of a worker. (A draining boomsimd answers /v1/jobs
+	// with a 200 carrying per-job 503s instead.)
 	P503 float64
 	// P500 synthesizes a 500 — a worker bug or an OOM-killed handler.
 	P500 float64
@@ -130,9 +131,9 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, fmt.Errorf("%w: connection reset to %s", errInjected, req.URL.Host)
 	case "503":
-		return synthetic(req, http.StatusServiceUnavailable, "chaos: worker draining", http.Header{"Retry-After": []string{"0"}}), nil
+		return synthetic(req, http.StatusServiceUnavailable, "chaos: worker unavailable"), nil
 	case "500":
-		return synthetic(req, http.StatusInternalServerError, "chaos: worker fault", nil), nil
+		return synthetic(req, http.StatusInternalServerError, "chaos: worker fault"), nil
 	case "slow":
 		select {
 		case <-time.After(t.plan.SlowDelay):
@@ -143,18 +144,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(req)
 }
 
-func synthetic(req *http.Request, status int, body string, hdr http.Header) *http.Response {
+func synthetic(req *http.Request, status int, body string) *http.Response {
 	if req.Body != nil {
 		io.Copy(io.Discard, req.Body)
 		req.Body.Close()
 	}
-	if hdr == nil {
-		hdr = http.Header{}
-	}
 	return &http.Response{
 		StatusCode: status,
 		Status:     http.StatusText(status),
-		Header:     hdr,
+		Header:     http.Header{},
 		Body:       io.NopCloser(bytes.NewReader([]byte(body))),
 		Request:    req,
 	}

@@ -3,293 +3,207 @@ package cluster
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"boomsim/internal/wire"
 )
 
-func TestRetryClientHonorsRetryAfter(t *testing.T) {
-	var calls atomic.Int32
-	var gap atomic.Int64
-	var last atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now().UnixNano()
-		if prev := last.Swap(now); prev != 0 {
-			gap.Store(now - prev)
+// onLog hands every coordinator log message to a function; the event loop
+// logs synchronously, so the function runs on the goroutine that called Run.
+type onLog func(msg string)
+
+func (f onLog) Enabled(context.Context, slog.Level) bool { return true }
+func (f onLog) Handle(_ context.Context, r slog.Record) error {
+	f(r.Message)
+	return nil
+}
+func (f onLog) WithAttrs([]slog.Attr) slog.Handler { return f }
+func (f onLog) WithGroup(string) slog.Handler      { return f }
+
+// TestCoordinatorRetriesFailedBatches pins the one retry path: the
+// transport posts each batch once, and the event loop decides what a failed
+// post costs. Every row sends two jobs, which travel in one batch, to one
+// fake worker whose whole-batch answers are scripted.
+func TestCoordinatorRetriesFailedBatches(t *testing.T) {
+	fail := func(codes ...int) func(int) int {
+		return func(post int) int {
+			if post <= len(codes) {
+				return codes[post-1]
+			}
+			return 0
 		}
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
+	}
+	always := func(code int) func(int) int { return func(int) int { return code } }
+	type outcome struct {
+		err         error
+		posts       []fakePost
+		stats       Stats
+		sinceCancel time.Duration
+	}
+	rejected := func(code int) func(*testing.T, outcome) {
+		return func(t *testing.T, o outcome) {
+			var se *StatusError
+			if !errors.As(o.err, &se) || se.Code != code || errors.Is(o.err, ErrWorkerFailed) {
+				t.Fatalf("err = %v, want the worker's whole-batch %d", o.err, code)
+			}
+			if len(o.posts) != 1 {
+				t.Fatalf("worker saw %d posts, want 1: a %d is not retried", len(o.posts), code)
+			}
 		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-
-	// BaseDelay alone would retry after ~1–2ms; the 1s Retry-After hint
-	// must dominate, capped by MaxDelay.
-	c := &RetryClient{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 250 * time.Millisecond}
-	raw, err := c.PostJSON(context.Background(), srv.URL, []byte(`{}`))
-	if err != nil {
-		t.Fatalf("PostJSON: %v", err)
 	}
-	if string(raw) != `{"ok":true}` {
-		t.Fatalf("body = %s", raw)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2", got)
-	}
-	if g := time.Duration(gap.Load()); g < 200*time.Millisecond {
-		t.Errorf("retry came after %v; the Retry-After hint (capped at 250ms) was not honored", g)
-	}
-}
-
-func TestRetryClientDoesNotRetryClientErrors(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "bad scheme", http.StatusBadRequest)
-	}))
-	defer srv.Close()
-
-	c := &RetryClient{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	_, err := c.PostJSON(context.Background(), srv.URL, []byte(`{}`))
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("err = %v, want StatusError 400", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("server saw %d calls, want 1 — 4xx must not be retried", got)
-	}
-}
-
-func TestRetryClientRetriesServerErrors(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
+	// recovered checks a sweep that completed after failed posts; each
+	// failed post requeues both jobs.
+	recovered := func(failed int) func(*testing.T, outcome) {
+		return func(t *testing.T, o outcome) {
+			if o.err != nil {
+				t.Fatalf("sweep failed: %v", o.err)
+			}
+			if len(o.posts) != failed+1 {
+				t.Fatalf("worker saw %d posts, want %d failed and 1 answered", len(o.posts), failed)
+			}
+			if want := uint64(2 * failed); o.stats.JobsRetried != want {
+				t.Errorf("JobsRetried = %d, want %d (2 jobs x %d failed posts)", o.stats.JobsRetried, want, failed)
+			}
 		}
-		w.Write([]byte(`ok`))
-	}))
-	defer srv.Close()
-
-	c := &RetryClient{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	raw, err := c.PostJSON(context.Background(), srv.URL, nil)
-	if err != nil || string(raw) != "ok" {
-		t.Fatalf("PostJSON = %q, %v; want ok after 2 retries", raw, err)
 	}
-}
-
-func TestRetryClientGivesUpAfterMaxAttempts(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	c := &RetryClient{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	_, err := c.PostJSON(context.Background(), srv.URL, nil)
-	if err == nil {
-		t.Fatal("want error after exhausting attempts")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3", got)
-	}
-}
-
-func TestRetryClientRespectsContextDuringBackoff(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	c := &RetryClient{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Minute}
-	start := time.Now()
-	_, err := c.PostJSON(ctx, srv.URL, nil)
-	if err == nil {
-		t.Fatal("want context error")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("PostJSON blocked %v through a canceled context", elapsed)
-	}
-}
-
-// TestRetryClientBackoffUnderStorms drives 429/503 storms through a fake
-// clock: the injected sleep hook records every inter-attempt wait instead
-// of burning wall time, so the table can assert exactly how Retry-After (in
-// both RFC 9110 forms) and the MaxDelay cap shape the backoff schedule.
-func TestRetryClientBackoffUnderStorms(t *testing.T) {
-	const attempts = 4
-	// BaseDelay 1ns keeps the jitter term at most a few nanoseconds, so
-	// whenever a Retry-After hint is in play it dominates exactly and the
-	// recorded sleeps equal the hint (or its MaxDelay cap).
-	tiny := time.Duration(1)
 	cases := []struct {
 		name     string
-		status   int
-		header   func(i int32) string // Retry-After for the i-th response
-		maxDelay time.Duration
-		// check inspects the recorded sleeps (one per retry).
-		check func(t *testing.T, sleeps []time.Duration)
+		batch    func(post int) int
+		perJob   func(key string, seen int) *wire.JobResult
+		attempts int
+		breaker  time.Duration // BreakerCooldown; 0 = 10ms
+		// cancelOnTrip cancels the sweep as the worker's breaker opens.
+		cancelOnTrip bool
+		check        func(*testing.T, outcome)
 	}{
-		{
-			name:     "429 storm with delay-seconds",
-			status:   http.StatusTooManyRequests,
-			header:   func(int32) string { return "2" },
-			maxDelay: 10 * time.Second,
-			check: func(t *testing.T, sleeps []time.Duration) {
-				for i, d := range sleeps {
-					if d != 2*time.Second {
-						t.Errorf("sleep[%d] = %v, want exactly the 2s Retry-After hint", i, d)
+		{name: "whole-batch 400 aborts after one post", batch: always(http.StatusBadRequest),
+			check: rejected(http.StatusBadRequest)},
+		{name: "whole-batch 404 aborts after one post", batch: always(http.StatusNotFound),
+			check: rejected(http.StatusNotFound)},
+		{name: "whole-batch 500 is re-posted", batch: fail(http.StatusInternalServerError),
+			check: recovered(1)},
+		{name: "connection reset is re-posted", batch: fail(resetConn),
+			check: recovered(1)},
+		{name: "whole-batch 503 storm is re-posted through the breaker",
+			batch: fail(http.StatusServiceUnavailable, http.StatusServiceUnavailable),
+			check: func(t *testing.T, o outcome) {
+				recovered(2)(t, o)
+				if o.stats.WorkerDeaths != 1 || o.stats.BreakerCloses != 1 {
+					t.Errorf("WorkerDeaths = %d, BreakerCloses = %d; want the breaker opened and closed once",
+						o.stats.WorkerDeaths, o.stats.BreakerCloses)
+				}
+			}},
+		{name: "worker failing forever exhausts MaxAttempts posts", batch: always(http.StatusInternalServerError),
+			attempts: 3,
+			check: func(t *testing.T, o outcome) {
+				if !errors.Is(o.err, ErrWorkerFailed) {
+					t.Fatalf("err = %v, want ErrWorkerFailed", o.err)
+				}
+				if len(o.posts) != 3 {
+					t.Fatalf("worker saw %d posts, want exactly MaxAttempts = 3", len(o.posts))
+				}
+				for i, p := range o.posts {
+					if len(p.keys) != 2 {
+						t.Errorf("post %d carried %v, want both jobs", i+1, p.keys)
 					}
 				}
+			}},
+		{name: "cancel while the worker cools down returns promptly", batch: always(http.StatusInternalServerError),
+			attempts: 10, breaker: time.Minute, cancelOnTrip: true,
+			check: func(t *testing.T, o outcome) {
+				if !errors.Is(o.err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", o.err)
+				}
+				if o.sinceCancel > time.Second {
+					t.Errorf("Run returned %v after cancel, inside a 1m breaker cooldown", o.sinceCancel)
+				}
+				if len(o.posts) != 2 {
+					t.Errorf("worker saw %d posts, want DeadAfter = 2 before the breaker opened", len(o.posts))
+				}
+			}},
+		{name: "per-job 429 delays the next post by retry_after_ms",
+			perJob: func(key string, seen int) *wire.JobResult {
+				if seen == 1 {
+					return &wire.JobResult{Error: "queue full", Status: http.StatusTooManyRequests, RetryAfterMS: 150}
+				}
+				return nil
 			},
-		},
-		{
-			name:     "503 storm with delay-seconds capped by MaxDelay",
-			status:   http.StatusServiceUnavailable,
-			header:   func(int32) string { return "30" },
-			maxDelay: 250 * time.Millisecond,
-			check: func(t *testing.T, sleeps []time.Duration) {
-				for i, d := range sleeps {
-					if d != 250*time.Millisecond {
-						t.Errorf("sleep[%d] = %v, want the 250ms MaxDelay cap, not the 30s hint", i, d)
+			check: func(t *testing.T, o outcome) {
+				recovered(1)(t, o)
+				if len(o.posts) == 2 {
+					if gap := o.posts[1].at.Sub(o.posts[0].at); gap < 150*time.Millisecond {
+						t.Errorf("second post came %v after the first, want >= the 150ms hint", gap)
 					}
 				}
-			},
-		},
-		{
-			name:   "429 storm with HTTP-date",
-			status: http.StatusTooManyRequests,
-			header: func(int32) string {
-				return time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
-			},
-			maxDelay: 10 * time.Second,
-			check: func(t *testing.T, sleeps []time.Duration) {
-				for i, d := range sleeps {
-					// An HTTP-date hint converts through time.Until, so allow
-					// scheduling slop below; it must never round up past the
-					// hinted instant.
-					if d < 2*time.Second || d > 3*time.Second {
-						t.Errorf("sleep[%d] = %v, want ~3s from the HTTP-date hint", i, d)
-					}
-				}
-			},
-		},
-		{
-			name:     "503 storm without hints backs off exponentially",
-			status:   http.StatusServiceUnavailable,
-			header:   func(int32) string { return "" },
-			maxDelay: 10 * time.Second,
-			check: func(t *testing.T, sleeps []time.Duration) {
-				for i, d := range sleeps {
-					// Full jitter from BaseDelay=1ns: tiny but non-negative,
-					// and certainly no accidental seconds-long stall.
-					if d < 0 || d > time.Millisecond {
-						t.Errorf("sleep[%d] = %v, want jitter on the order of BaseDelay", i, d)
-					}
-				}
-			},
-		},
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var calls atomic.Int32
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				i := calls.Add(1) - 1
-				if h := tc.header(i); h != "" {
-					w.Header().Set("Retry-After", h)
-				}
-				w.WriteHeader(tc.status)
-			}))
-			defer srv.Close()
-
-			var sleeps []time.Duration
-			c := &RetryClient{
-				MaxAttempts: attempts,
-				BaseDelay:   tiny,
-				MaxDelay:    tc.maxDelay,
-				sleep: func(ctx context.Context, d time.Duration) error {
-					sleeps = append(sleeps, d)
-					return nil
-				},
+			w := newFakeWorker(t)
+			w.batch, w.perJob = tc.batch, tc.perJob
+			cfg := testConfig(w)
+			cfg.MaxAttempts = tc.attempts
+			cfg.BreakerCooldown = tc.breaker
+			if cfg.BreakerCooldown == 0 {
+				cfg.BreakerCooldown = 10 * time.Millisecond
 			}
-			start := time.Now()
-			_, err := c.PostJSON(context.Background(), srv.URL, []byte(`{}`))
+			cfg.BreakerMaxCooldown = cfg.BreakerCooldown
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var canceledAt time.Time
+			if tc.cancelOnTrip {
+				cfg.Logger = slog.New(onLog(func(msg string) {
+					if msg == "cluster: breaker opened" {
+						canceledAt = time.Now()
+						cancel()
+					}
+				}))
+			}
+			co, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := makeJobs(2)
+			results, err := co.Run(ctx, jobs)
+			o := outcome{err: err, posts: w.postLog(), stats: co.Stats()}
+			if !canceledAt.IsZero() {
+				o.sinceCancel = time.Since(canceledAt)
+			}
 			if err == nil {
-				t.Fatal("want an error: the storm never relents")
+				checkResults(t, jobs, results)
 			}
-			if got := calls.Load(); got != attempts {
-				t.Fatalf("server saw %d calls, want %d", got, attempts)
-			}
-			if len(sleeps) != attempts-1 {
-				t.Fatalf("recorded %d sleeps, want %d", len(sleeps), attempts-1)
-			}
-			tc.check(t, sleeps)
-			// The whole storm must run on the fake clock: no real sleeping.
-			if elapsed := time.Since(start); elapsed > 2*time.Second {
-				t.Errorf("test burned %v of wall clock; sleeps were supposed to be fake", elapsed)
-			}
+			tc.check(t, o)
 		})
 	}
 }
 
-// TestRetryClientRecoversMidStorm pins the happy ending: a 429 storm that
-// relents mid-way yields the response, having slept the hinted amount
-// before each retry and charged no extra attempts afterwards.
-func TestRetryClientRecoversMidStorm(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-
-	var sleeps []time.Duration
-	c := &RetryClient{
-		MaxAttempts: 5,
-		BaseDelay:   time.Duration(1),
-		MaxDelay:    10 * time.Second,
-		sleep: func(ctx context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d)
-			return nil
-		},
-	}
-	raw, err := c.PostJSON(context.Background(), srv.URL, []byte(`{}`))
-	if err != nil || string(raw) != `{"ok":true}` {
-		t.Fatalf("PostJSON = %q, %v; want the post-storm body", raw, err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3 (two rejections, one success)", got)
-	}
-	if len(sleeps) != 2 || sleeps[0] != time.Second || sleeps[1] != time.Second {
-		t.Fatalf("sleeps = %v, want two exact 1s waits from the hints", sleeps)
-	}
-}
-
-func TestParseRetryAfter(t *testing.T) {
-	if d, ok := parseRetryAfter("2"); !ok || d != 2*time.Second {
-		t.Errorf("parseRetryAfter(2) = %v, %v", d, ok)
-	}
-	if _, ok := parseRetryAfter(""); ok {
-		t.Error("empty Retry-After parsed")
-	}
-	if _, ok := parseRetryAfter("soon"); ok {
-		t.Error("garbage Retry-After parsed")
-	}
-	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
-	if d, ok := parseRetryAfter(future); !ok || d <= 0 || d > 3*time.Second {
-		t.Errorf("parseRetryAfter(date) = %v, %v", d, ok)
+// TestPostReadCap pins the transport's read cap: an answer of exactly the
+// cap is read whole, and one byte more fails with an error naming the cap
+// instead of handing a cut body to the decoder.
+func TestPostReadCap(t *testing.T) {
+	const limit = 4096
+	for _, n := range []int{limit, limit + 1} {
+		t.Run(strconv.Itoa(n)+" bytes", func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write([]byte(strings.Repeat("x", n)))
+			}))
+			defer srv.Close()
+			raw, err := post(context.Background(), srv.Client(), srv.URL, []byte(`{}`), limit)
+			if n <= limit {
+				if err != nil || len(raw) != n {
+					t.Fatalf("post = %d bytes, %v; want all %d", len(raw), err, n)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), strconv.Itoa(limit)+"-byte read cap") {
+				t.Fatalf("post = %d bytes, %v; want an error naming the %d-byte cap", len(raw), err, limit)
+			}
+		})
 	}
 }

@@ -6,12 +6,14 @@
 // on that Key, so every worker's content-addressed result cache stays hot
 // and a repeated sweep collapses to cache hits instead of re-simulating.
 // Dispatch is an event loop with explicit backpressure: at most InFlight
-// batches per worker, per-job 429/503 responses (and their Retry-After
-// hints) cool the worker down, transport failures re-dispatch the affected
-// jobs with a capped attempt budget, stragglers can be hedged to the key's
+// batches per worker, per-job 429/503 answers (and their retry_after_ms
+// hints) cool the worker down, stragglers can be hedged to the key's
 // next-preferred worker, and results reassemble in matrix order regardless
 // of completion order, so a distributed sweep is byte-identical to a local
-// RunMatrix.
+// RunMatrix. Each batch is posted once; the loop is the only place a failed
+// batch is retried: its jobs re-dispatch after a cooldown, each failed post
+// charging one attempt against the jobs' capped budget and one strike
+// against the worker's breaker.
 //
 // Failure handling is built for pools that change under the sweep:
 //
@@ -99,7 +101,8 @@ type Config struct {
 	// BatchSize bounds jobs per /v1/jobs request (default 4).
 	BatchSize int
 	// MaxAttempts bounds dispatch attempts per job before the sweep fails
-	// with ErrWorkerFailed (default 4).
+	// with ErrWorkerFailed (default 4). A failed post carrying the job, or
+	// a per-job error other than a 429, uses one.
 	MaxAttempts int
 	// DeadAfter is the consecutive-failure threshold that opens a worker's
 	// circuit breaker: its keys redistribute and it is left alone until
@@ -121,13 +124,13 @@ type Config struct {
 	// next-preferred worker once the batch has been in flight this long
 	// (0 = hedging disabled).
 	HedgeAfter time.Duration
-	// RequestTimeout caps one batch's total transport time, retries
-	// included (default 5m). A worker that accepts connections but never
+	// RequestTimeout caps one batch post, from send to the last byte of
+	// the answer (default 5m). A worker that accepts connections but never
 	// answers burns this budget, strikes out, and its keys move on.
 	RequestTimeout time.Duration
-	// Client is the transport (default a zero RetryClient: 3 attempts,
-	// 100ms base backoff, Retry-After honored).
-	Client *RetryClient
+	// HTTP sends the health probes and posts each batch once (default
+	// http.DefaultClient).
+	HTTP *http.Client
 	// Logger receives structured lifecycle events — sweep start/end,
 	// journal resume summaries, breaker transitions, membership changes,
 	// hedges — at slog levels (nil = discard). The event loop logs
@@ -166,8 +169,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Minute
 	}
-	if c.Client == nil {
-		c.Client = &RetryClient{}
+	if c.HTTP == nil {
+		c.HTTP = http.DefaultClient
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
@@ -604,14 +607,13 @@ func healthProbe(ctx context.Context, httpc *http.Client, endpoint string) bool 
 // start the sweep retired so their keys route elsewhere from the first
 // batch. (A membership re-add can still revive them mid-sweep.)
 func (st *runState) probe(ctx context.Context) error {
-	httpc := st.cfg.Client.httpClient()
 	failed := make([]bool, len(st.workers))
 	var wg sync.WaitGroup
 	for i, w := range st.workers {
 		wg.Add(1)
 		go func(i int, w *workerState) {
 			defer wg.Done()
-			failed[i] = !healthProbe(ctx, httpc, w.endpoint)
+			failed[i] = !healthProbe(ctx, st.cfg.HTTP, w.endpoint)
 		}(i, w)
 	}
 	wg.Wait()
@@ -779,11 +781,12 @@ func (st *runState) launch(w *workerState, idxs []int) {
 		go st.send(batchEvent{batch: b, err: err})
 		return
 	}
-	client, url := st.cfg.Client, w.endpoint+"/v1/jobs"
+	httpc, url := st.cfg.HTTP, w.endpoint+"/v1/jobs"
+	limit := int64(len(idxs))*wire.MaxJobResultBytes + envelopeBytes
 	ctx, cancel := context.WithTimeout(st.ctx, st.cfg.RequestTimeout)
 	go func() {
 		defer cancel()
-		raw, err := client.PostJSON(ctx, url, body)
+		raw, err := post(ctx, httpc, url, body, limit)
 		ev := batchEvent{batch: b, err: err}
 		if err == nil {
 			var resp wire.JobsResponse
@@ -1023,13 +1026,12 @@ func (st *runState) reconcileMembership() {
 			st.retire(w)
 		}
 	}
-	httpc := st.cfg.Client.httpClient()
 	for _, ep := range eps {
 		w := st.byEP[ep]
 		if (w == nil || w.state == wsRemoved) && !st.probing[ep] {
 			st.probing[ep] = true
 			go func(ep string) {
-				ok := healthProbe(st.ctx, httpc, ep)
+				ok := healthProbe(st.ctx, st.cfg.HTTP, ep)
 				st.sendJoin(joinEvent{endpoint: ep, ok: ok})
 			}(ep)
 		}

@@ -24,12 +24,26 @@ import (
 type fakeWorker struct {
 	srv   *httptest.Server
 	delay time.Duration
+	// batch scripts the whole answer to the n-th post (from 1): an HTTP
+	// status to fail it with, resetConn to drop the connection, or 0 to
+	// answer job by job. nil answers every post job by job.
+	batch func(post int) int
 	// perJob overrides a job's outcome; nil or a nil return means success.
 	perJob func(key string, timesSeen int) *wire.JobResult
 
 	mu     sync.Mutex
 	served map[string]int
+	posts  []fakePost
 }
+
+// fakePost is one /v1/jobs post as the fake worker received it.
+type fakePost struct {
+	at   time.Time
+	keys []string
+}
+
+// resetConn makes a scripted post drop its connection unanswered.
+const resetConn = -1
 
 func okResult(key string) json.RawMessage {
 	return json.RawMessage(fmt.Sprintf(`{"key":%q}`, key))
@@ -47,6 +61,24 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
+		}
+		keys := make([]string, len(req.Jobs))
+		for i, job := range req.Jobs {
+			keys[i] = job.Scheme
+		}
+		f.mu.Lock()
+		f.posts = append(f.posts, fakePost{at: time.Now(), keys: keys})
+		n := len(f.posts)
+		f.mu.Unlock()
+		if f.batch != nil {
+			switch code := f.batch(n); code {
+			case 0:
+			case resetConn:
+				panic(http.ErrAbortHandler)
+			default:
+				http.Error(w, "scripted failure", code)
+				return
+			}
 		}
 		if f.delay > 0 {
 			select {
@@ -77,6 +109,12 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	return f
 }
 
+func (f *fakeWorker) postLog() []fakePost {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]fakePost(nil), f.posts...)
+}
+
 func (f *fakeWorker) servedKeys() map[string]int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -101,10 +139,7 @@ func testConfig(workers ...*fakeWorker) Config {
 	for i, w := range workers {
 		eps[i] = w.srv.URL
 	}
-	return Config{
-		Endpoints: eps,
-		Client:    &RetryClient{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	}
+	return Config{Endpoints: eps}
 }
 
 func checkResults(t *testing.T, jobs []Job, results []JobResult) {
@@ -366,7 +401,9 @@ func TestCoordinatorBreakerRecoversWorker(t *testing.T) {
 	w := newFakeWorker(t)
 	// Every key 503s on first sight and succeeds afterwards: the first two
 	// batches open the breaker, and everything after the half-open probe is
-	// healthy.
+	// healthy. One batch in flight keeps that order: with two, the
+	// requeued first batch can come back clean before the second answers
+	// and reset the strike count, and the breaker never opens.
 	w.perJob = func(key string, seen int) *wire.JobResult {
 		if seen == 1 {
 			return &wire.JobResult{Error: "draining", Status: http.StatusServiceUnavailable, RetryAfterMS: 1}
@@ -374,6 +411,7 @@ func TestCoordinatorBreakerRecoversWorker(t *testing.T) {
 		return nil
 	}
 	cfg := testConfig(w)
+	cfg.InFlight = 1
 	cfg.MaxAttempts = 6
 	cfg.BreakerCooldown = 50 * time.Millisecond
 	cfg.BreakerMaxCooldown = 200 * time.Millisecond
@@ -423,7 +461,6 @@ func TestCoordinatorMembershipAddsWorkerMidSweep(t *testing.T) {
 		MembershipInterval: 10 * time.Millisecond,
 		BatchSize:          2,
 		InFlight:           1,
-		Client:             &RetryClient{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -473,7 +510,6 @@ func TestCoordinatorMembershipRemovesWorkerMidSweep(t *testing.T) {
 		MembershipInterval: 10 * time.Millisecond,
 		BatchSize:          2,
 		InFlight:           1,
-		Client:             &RetryClient{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 	co, err := New(cfg)
 	if err != nil {

@@ -108,6 +108,15 @@ type JobsResponse struct {
 	Jobs []JobResult `json:"jobs"`
 }
 
+// MaxJobResultBytes bounds one job's entry in a /v1/jobs answer as
+// boomsimd writes it. The largest entry, about 40 MB, is a Result with the
+// flight recorder's full epoch count, every counter at its longest
+// encoding, every statistic a built-in scheme registers and a custom scheme
+// name as long as a request body allows; a root test builds it and pins
+// that it fits. The coordinator reads at most this many bytes per job of a
+// batch.
+const MaxJobResultBytes = 48 << 20
+
 // Health is GET /healthz's body: liveness plus the build and load facts a
 // coordinator (or an operator) needs for placement decisions.
 type Health struct {
