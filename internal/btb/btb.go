@@ -39,17 +39,22 @@ func (e *Entry) BranchPC() isa.Addr {
 	return e.Start + isa.Addr(e.NInstr-1)*isa.InstrBytes
 }
 
+// btbWay is one valid entry. A set's valid ways are always its first
+// fill[set] slots: nothing invalidates a BTB entry, so the occupied ways
+// stay a prefix of the set.
 type btbWay struct {
 	entry   Entry
-	valid   bool
 	lastUse int64
 }
 
 // BTB is a set-associative basic-block BTB with LRU replacement. Ways live
 // in one flat backing array indexed arithmetically — set lookup is pure
-// address math, with no per-set slice header to chase on the hot path.
+// address math, with no per-set slice header to chase on the hot path. A
+// per-set fill count tracks occupancy, so ways carry no valid bit and a
+// lookup scans only the filled ways.
 type BTB struct {
-	ways    []btbWay
+	ways    []btbWay // set s owns ways[s*assoc : s*assoc+fill[s]]
+	fill    []uint16 // valid ways per set
 	assoc   int
 	setMask uint64
 	hits    uint64
@@ -57,10 +62,14 @@ type BTB struct {
 }
 
 // New builds a BTB with ~entries capacity at the given associativity (set
-// count rounds down to a power of two).
+// count rounds down to a power of two). The associativity may not exceed
+// 65,535, the most a per-set fill count holds.
 func New(entries, assoc int) *BTB {
 	if entries <= 0 || assoc <= 0 {
 		panic("btb: non-positive geometry")
+	}
+	if assoc > 65535 {
+		panic("btb: associativity above 65535")
 	}
 	nsets := entries / assoc
 	if nsets == 0 {
@@ -71,23 +80,30 @@ func New(entries, assoc int) *BTB {
 		p *= 2
 	}
 	nsets = p
-	return &BTB{ways: make([]btbWay, nsets*assoc), assoc: assoc, setMask: uint64(nsets - 1)}
+	return &BTB{
+		ways:    make([]btbWay, nsets*assoc),
+		fill:    make([]uint16, nsets),
+		assoc:   assoc,
+		setMask: uint64(nsets - 1),
+	}
 }
 
 // Entries returns total capacity.
 func (b *BTB) Entries() int { return len(b.ways) }
 
-func (b *BTB) set(start isa.Addr) []btbWay {
-	base := int((uint64(start)>>2)&b.setMask) * b.assoc
-	return b.ways[base : base+b.assoc]
+// set returns the set start maps to and that set's valid ways.
+func (b *BTB) set(start isa.Addr) (int, []btbWay) {
+	idx := int((uint64(start) >> 2) & b.setMask)
+	base := idx * b.assoc
+	return idx, b.ways[base : base+int(b.fill[idx])]
 }
 
 // Lookup returns the entry for the basic block starting at start. A miss is
 // a genuine BTB miss (basic-block organisation).
 func (b *BTB) Lookup(start isa.Addr, now int64) (Entry, bool) {
-	s := b.set(start)
+	_, s := b.set(start)
 	for i := range s {
-		if s[i].valid && s[i].entry.Start == start {
+		if s[i].entry.Start == start {
 			s[i].lastUse = now
 			b.hits++
 			return s[i].entry, true
@@ -99,21 +115,22 @@ func (b *BTB) Lookup(start isa.Addr, now int64) (Entry, bool) {
 
 // Contains probes without LRU or counter side effects.
 func (b *BTB) Contains(start isa.Addr) bool {
-	s := b.set(start)
+	_, s := b.set(start)
 	for i := range s {
-		if s[i].valid && s[i].entry.Start == start {
+		if s[i].entry.Start == start {
 			return true
 		}
 	}
 	return false
 }
 
-// Insert installs or refreshes an entry, evicting LRU on conflict.
+// Insert installs or refreshes an entry: it fills the set's first free way,
+// or else evicts the LRU way (ties going to the lowest way).
 func (b *BTB) Insert(e Entry, now int64) {
-	s := b.set(e.Start)
+	idx, s := b.set(e.Start)
 	lru := 0
 	for i := range s {
-		if s[i].valid && s[i].entry.Start == e.Start {
+		if s[i].entry.Start == e.Start {
 			// Refresh: keep a learned indirect target if the incoming entry
 			// (e.g. from a predecoder) does not know one.
 			if e.Target == 0 && s[i].entry.Target != 0 {
@@ -123,23 +140,24 @@ func (b *BTB) Insert(e Entry, now int64) {
 			s[i].lastUse = now
 			return
 		}
-		if !s[i].valid {
-			s[i] = btbWay{entry: e, valid: true, lastUse: now}
-			return
-		}
 		if s[i].lastUse < s[lru].lastUse {
 			lru = i
 		}
 	}
-	s[lru] = btbWay{entry: e, valid: true, lastUse: now}
+	if n := len(s); n < b.assoc {
+		b.ways[idx*b.assoc+n] = btbWay{entry: e, lastUse: now}
+		b.fill[idx]++
+		return
+	}
+	s[lru] = btbWay{entry: e, lastUse: now}
 }
 
 // UpdateTarget trains the stored target of an existing entry (indirect
 // branch resolution). It is a no-op if the entry is gone.
 func (b *BTB) UpdateTarget(start, target isa.Addr, now int64) {
-	s := b.set(start)
+	_, s := b.set(start)
 	for i := range s {
-		if s[i].valid && s[i].entry.Start == start {
+		if s[i].entry.Start == start {
 			s[i].entry.Target = target
 			s[i].lastUse = now
 			return

@@ -10,6 +10,7 @@ import "boomsim/internal/isa"
 func (b *BTB) Clone() *BTB {
 	n := *b
 	n.ways = append(make([]btbWay, 0, len(b.ways)), b.ways...)
+	n.fill = append(make([]uint16, 0, len(b.fill)), b.fill...)
 	return &n
 }
 
@@ -35,12 +36,7 @@ func (t *TwoLevel) Clone(l1 *BTB) *TwoLevel {
 	c := *t
 	c.l1 = l1
 	c.l2 = t.l2.Clone()
-	if t.ring != nil {
-		c.ring = append([]isa.Addr(nil), t.ring...)
-		c.index = make(map[isa.Addr]int, len(t.index))
-		for k, v := range t.index {
-			c.index[k] = v
-		}
-	}
+	c.ring = append([]isa.Addr(nil), t.ring...)
+	c.index = t.index.Clone()
 	return &c
 }

@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"boomsim/internal/flatmap"
 	"boomsim/internal/isa"
 	"boomsim/internal/stats"
 )
@@ -65,16 +66,23 @@ type TwoLevelStats struct {
 // neighbouring entries into the first level. It implements the front-end
 // engine's MissHandler contract and observes BTB fills to keep the second
 // level (and, for PhantomBTB, the temporal grouping) trained.
+//
+// PhantomBTB's grouping storage follows occupancy, not capacity: the ring
+// allocates only the slots fills have written (a slot past them reads as 0,
+// like an unwritten slot of a zeroed ring), and the index grows with the
+// starts it holds.
 type TwoLevel struct {
 	cfg TwoLevelConfig
 	l1  *BTB
 	l2  *BTB
 
-	// Temporal grouping state (PhantomBTB): a ring of recent fill starts
-	// and an index from entry start to its ring position.
+	// Temporal grouping state (PhantomBTB): a ring of ringLen recent fill
+	// starts, of which ring holds the written prefix, and an index from
+	// entry start to its ring position.
 	ring    []isa.Addr
+	ringLen int
 	ringPos int
-	index   map[isa.Addr]int
+	index   flatmap.Map
 
 	stats TwoLevelStats
 }
@@ -88,12 +96,7 @@ func NewTwoLevel(cfg TwoLevelConfig, l1 *BTB) *TwoLevel {
 		l2:  New(cfg.L2Entries, cfg.L2Assoc),
 	}
 	if cfg.Temporal {
-		n := cfg.L2Entries
-		if n < 1024 {
-			n = 1024
-		}
-		t.ring = make([]isa.Addr, n)
-		t.index = make(map[isa.Addr]int, n)
+		t.ringLen = max(cfg.L2Entries, 1024)
 	}
 	return t
 }
@@ -151,12 +154,15 @@ func (t *TwoLevel) preloadSpatial(pc isa.Addr, now int64) {
 // preloadTemporal moves the fill-order successors of pc's previous
 // occurrence into the L1 BTB (PhantomBTB's temporal groups).
 func (t *TwoLevel) preloadTemporal(pc isa.Addr, now int64) {
-	pos, ok := t.index[pc]
+	pos, ok := t.index.Get(pc)
 	if !ok || t.ring[pos] != pc {
 		return
 	}
 	for i := 1; i <= t.cfg.TemporalGroup; i++ {
-		p := (pos + i) % len(t.ring)
+		p := (int(pos) + i) % t.ringLen
+		if p >= len(t.ring) {
+			break // not written yet: reads as 0
+		}
 		start := t.ring[p]
 		if start == 0 {
 			break
@@ -178,10 +184,14 @@ func (t *TwoLevel) OnBTBFill(e Entry, now int64) {
 	if !t.cfg.Temporal {
 		return
 	}
-	t.ring[t.ringPos] = e.Start
-	t.index[e.Start] = t.ringPos
+	if t.ringPos < len(t.ring) {
+		t.ring[t.ringPos] = e.Start
+	} else {
+		t.ring = appendBounded(t.ring, e.Start, t.ringLen)
+	}
+	t.index.Set(e.Start, int32(t.ringPos))
 	t.ringPos++
-	if t.ringPos == len(t.ring) {
+	if t.ringPos == t.ringLen {
 		t.ringPos = 0
 		t.stats.GroupWraps++
 	}
@@ -192,4 +202,19 @@ func (t *TwoLevel) OnBTBFill(e Entry, now int64) {
 // LLC, but the metadata volume is the same.
 func (t *TwoLevel) StorageKB() int {
 	return t.cfg.L2Entries * 84 / 8 / 1024
+}
+
+// firstAlloc is the slot count a growing ring allocates on its first write.
+const firstAlloc = 1024
+
+// appendBounded appends v to buf, doubling its capacity (from firstAlloc,
+// and never past limit) when it is full, so a ring that fills to limit
+// allocates a handful of times rather than on every append.
+func appendBounded(buf []isa.Addr, v isa.Addr, limit int) []isa.Addr {
+	if len(buf) == cap(buf) {
+		grown := make([]isa.Addr, len(buf), min(max(2*cap(buf), firstAlloc), limit))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, v)
 }

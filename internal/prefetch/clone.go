@@ -24,16 +24,13 @@ func (p *DIP) CloneFor(hier *cache.Hierarchy) *DIP {
 
 // CloneFor returns an independent deep copy issuing into hier: history
 // buffer, index, FIFO bound, stream state and the delayed-issue queue are
-// all duplicated.
+// all duplicated, the history and FIFO at their written length.
 func (p *Temporal) CloneFor(hier *cache.Hierarchy) *Temporal {
 	c := *p
 	c.hier = hier
 	c.history = append([]uint64(nil), p.history...)
-	c.index = make(map[uint64]int, len(p.index))
-	for k, v := range p.index {
-		c.index[k] = v
-	}
-	c.indexQ = append(make([]uint64, 0, cap(p.indexQ)), p.indexQ...)
+	c.index = p.index.Clone()
+	c.indexQ = append([]uint64(nil), p.indexQ...)
 	c.pending = append(make([]pendingPrefetch, 0, cap(p.pending)), p.pending...)
 	return &c
 }

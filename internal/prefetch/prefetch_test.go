@@ -316,8 +316,8 @@ func TestTemporalIndexBound(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		p.OnRetire(i*3, int64(i))
 	}
-	if len(p.index) > 8 {
-		t.Fatalf("index grew to %d entries, bound is 8", len(p.index))
+	if p.index.Len() > 8 {
+		t.Fatalf("index grew to %d entries, bound is 8", p.index.Len())
 	}
 }
 
@@ -343,7 +343,7 @@ func TestTemporalHistoryWraps(t *testing.T) {
 		t.Fatal("history should have wrapped")
 	}
 	// The index for recent lines must point at valid positions.
-	pos, ok := p.index[39]
+	pos, ok := p.index.Get(39)
 	if !ok || p.history[pos] != 39 {
 		t.Fatal("index inconsistent after wrap")
 	}

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"boomsim/internal/cache"
+	"boomsim/internal/flatmap"
 	"boomsim/internal/isa"
 	"boomsim/internal/stats"
 )
@@ -64,16 +65,26 @@ func DefaultSHIFTConfig(llcRoundTrip int64) TemporalConfig {
 // (a demand miss whose region appears in the history), replays the recorded
 // stream ahead of the fetch engine. PIF and SHIFT are both instances; they
 // differ in where the metadata lives (latency + storage accounting).
+//
+// Storage follows occupancy, not capacity: the history and the index's FIFO
+// allocate only the slots written so far, doubling as they fill (a history
+// slot past them reads as 0, like an unwritten slot of a zeroed buffer), and
+// the index grows with the regions it holds.
 type Temporal struct {
 	hier *cache.Hierarchy
 	cfg  TemporalConfig
 
-	history []uint64 // region numbers
-	hpos    int      // next write position
+	// history is a ring of cfg.HistoryEntries region numbers; before the
+	// first wrap only its written prefix [0, hpos) is allocated.
+	history []uint64
+	hpos    int // next write position
 	filled  bool
 
-	index      map[uint64]int // region -> most recent history position
-	indexQ     []uint64       // FIFO bound on the index
+	index flatmap.Map // region -> most recent history position
+	// indexQ is the FIFO bound on the index: it grows to cfg.IndexEntries
+	// regions, then each new region overwrites the oldest, at qHead.
+	indexQ     []uint64
+	qHead      int
 	lastRegion uint64
 	haveLast   bool
 
@@ -115,12 +126,7 @@ func NewTemporal(hier *cache.Hierarchy, cfg TemporalConfig) *Temporal {
 	if cfg.MaxDeviations < 1 {
 		cfg.MaxDeviations = 1
 	}
-	return &Temporal{
-		hier:    hier,
-		cfg:     cfg,
-		history: make([]uint64, cfg.HistoryEntries),
-		index:   make(map[uint64]int, cfg.IndexEntries),
-	}
+	return &Temporal{hier: hier, cfg: cfg}
 }
 
 // PublishStats registers the streamer's counters under its namespace of the
@@ -164,40 +170,51 @@ func (p *Temporal) OnRetire(line uint64, now int64) {
 }
 
 func (p *Temporal) record(region uint64) {
-	p.history[p.hpos] = region
+	if p.hpos < len(p.history) {
+		p.history[p.hpos] = region
+	} else {
+		p.history = appendBounded(p.history, region, p.cfg.HistoryEntries)
+	}
 	p.setIndex(region, p.hpos)
 	p.hpos++
-	if p.hpos == len(p.history) {
+	if p.hpos == p.cfg.HistoryEntries {
 		p.hpos = 0
 		p.filled = true
 	}
 }
 
+// setIndex points region at pos. A region the index does not hold joins the
+// FIFO — again, if a stale lookup deleted it while it was still queued —
+// and a full FIFO first evicts its oldest region from the index. Without a
+// positive bound the index grows unbounded and keeps no FIFO.
 func (p *Temporal) setIndex(region uint64, pos int) {
-	if _, exists := p.index[region]; !exists {
-		if len(p.indexQ) >= p.cfg.IndexEntries && p.cfg.IndexEntries > 0 {
-			evict := p.indexQ[0]
-			p.indexQ = p.indexQ[1:]
-			delete(p.index, evict)
+	if _, exists := p.index.Get(region); !exists && p.cfg.IndexEntries > 0 {
+		if len(p.indexQ) < p.cfg.IndexEntries {
+			p.indexQ = appendBounded(p.indexQ, region, p.cfg.IndexEntries)
+		} else {
+			p.index.Delete(p.indexQ[p.qHead])
+			p.indexQ[p.qHead] = region
+			if p.qHead++; p.qHead == len(p.indexQ) {
+				p.qHead = 0
+			}
 		}
-		p.indexQ = append(p.indexQ, region)
 	}
-	p.index[region] = pos
+	p.index.Set(region, int32(pos))
 }
 
 // lookup returns the history position of the region, validating against the
 // circular buffer (a wrapped history invalidates old index entries).
 func (p *Temporal) lookup(region uint64) (int, bool) {
-	pos, ok := p.index[region]
+	pos, ok := p.index.Get(region)
 	if !ok {
 		return 0, false
 	}
 	if p.history[pos] != region {
 		p.StaleIndex++
-		delete(p.index, region)
+		p.index.Delete(region)
 		return 0, false
 	}
-	return pos, true
+	return int(pos), true
 }
 
 // OnDemand implements frontend.Prefetcher: the fetch stream consumes the
@@ -235,7 +252,7 @@ func (p *Temporal) advance(region uint64, now int64) {
 	}
 	pos := p.streamPos
 	for i := 0; i < 8; i++ {
-		if p.history[pos] == region {
+		if p.at(pos) == region {
 			p.streamPos = p.next(pos)
 			p.deviations = 0
 			p.replayAhead(now)
@@ -257,10 +274,19 @@ func (p *Temporal) advance(region uint64, now int64) {
 	}
 }
 
+// at reads history position pos; a position not yet written (before the
+// first wrap the scan can run past hpos) reads as 0.
+func (p *Temporal) at(pos int) uint64 {
+	if pos < len(p.history) {
+		return p.history[pos]
+	}
+	return 0
+}
+
 // prevPos returns the history position written most recently.
 func (p *Temporal) prevPos() int {
 	if p.hpos == 0 {
-		return len(p.history) - 1
+		return p.cfg.HistoryEntries - 1
 	}
 	return p.hpos - 1
 }
@@ -280,7 +306,7 @@ func (p *Temporal) replayAhead(issueAt int64) {
 
 func (p *Temporal) next(pos int) int {
 	pos++
-	if pos == len(p.history) {
+	if pos == p.cfg.HistoryEntries {
 		return 0
 	}
 	return pos
@@ -330,7 +356,22 @@ func (p *Temporal) NextEvent(int64) int64 {
 // storage is virtualised into the LLC (the scheme charges LLC capacity
 // instead); the number still reports the metadata volume.
 func (p *Temporal) StorageKB() int {
-	historyB := len(p.history) * 5
+	historyB := p.cfg.HistoryEntries * 5
 	indexB := p.cfg.IndexEntries * 8
 	return (historyB + indexB) / 1024
+}
+
+// firstAlloc is the slot count a growing ring allocates on its first write.
+const firstAlloc = 1024
+
+// appendBounded appends v to buf, doubling its capacity (from firstAlloc,
+// and never past limit) when it is full, so a ring that fills to limit
+// allocates a handful of times rather than on every append.
+func appendBounded(buf []uint64, v uint64, limit int) []uint64 {
+	if len(buf) == cap(buf) {
+		grown := make([]uint64, len(buf), min(max(2*cap(buf), firstAlloc), limit))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, v)
 }

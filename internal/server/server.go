@@ -488,7 +488,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}(i, sim, jr.TimeoutMS)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, wire.JobsResponse{Jobs: out})
+	// Only the coordinator reads this answer, so it goes out compact:
+	// indenting it would re-indent every job's raw result too, nearly
+	// doubling the bytes a flight-recorded cell sends.
+	body, err := json.Marshal(wire.JobsResponse{Jobs: out})
+	if err == nil {
+		body = append(body, '\n')
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // jobError renders one job's failure with its HTTP-equivalent status and,
@@ -655,8 +662,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// encodeJSON renders v as every response body is written: two-space
-// indent and a trailing newline.
+// encodeJSON renders v as every response body but /v1/jobs's is written:
+// two-space indent and a trailing newline.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -596,7 +596,9 @@ func TestAbandonedFlightDoesNotPoisonSuccessors(t *testing.T) {
 
 // TestJobsEndpoint exercises the batch surface the cluster coordinator
 // speaks: independent per-job execution in request order, per-job errors
-// with status and backoff hints, and a result cache shared with /v1/run.
+// with status and backoff hints, a compact answer (only the coordinator
+// reads it; /v1/run keeps its indent) and a result cache shared with
+// /v1/run.
 func TestJobsEndpoint(t *testing.T) {
 	s := newTestService(t, Config{Workers: 4})
 	batch := wire.JobsRequest{Jobs: []RunRequest{
@@ -609,6 +611,13 @@ func TestJobsEndpoint(t *testing.T) {
 	code, raw := s.post(t, "/v1/jobs", batch)
 	if code != http.StatusOK {
 		t.Fatalf("POST /v1/jobs: status %d body %s", code, raw)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(compact.Bytes(), '\n'); !bytes.Equal(raw, want) {
+		t.Fatalf("/v1/jobs answer is not compact JSON plus a newline (%d bytes, compact %d)", len(raw), compact.Len())
 	}
 	var resp wire.JobsResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
@@ -642,6 +651,9 @@ func TestJobsEndpoint(t *testing.T) {
 	}
 	if rr := decodeRun(t, raw); !rr.Cached || rr.Key != resp.Jobs[3].Key || !reflect.DeepEqual(rr.Result, results[3]) {
 		t.Errorf("cell not served from the batch-populated cache (cached=%v)", rr.Cached)
+	}
+	if !bytes.Contains(raw, []byte("\n  ")) {
+		t.Errorf("/v1/run answer lost its indent: %.80s", raw)
 	}
 
 	// The same batch again: every good cell is a cache hit with the same

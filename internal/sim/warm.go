@@ -34,12 +34,14 @@ import (
 // only shape the measurement window, so sweeps over them share one master.
 //
 // The arena is bounded, which also caps resident memory. Measured heap per
-// master with Table I's 8 MB LLC: 0.55 MB for Boomerang or FDIP on a 512 KB
-// image, 1.7 MB for Confluence (its temporal prefetcher's history), and
-// 3.6 MB for Boomerang on DB2's 5 MB image, whose text fills LLC sets past 8
-// ways so the tag store holds all 16 (cache.SetAssoc sizes it by occupancy).
-// A full arena of the largest measured, Confluence on DB2 at 4.7 MB, is
-// about 1.2 GB. The bound is sized so a full 18-scheme x 7-workload matrix
+// master with Table I's 8 MB LLC and a 200K-instruction warm window: 0.53 MB
+// for Boomerang or FDIP on a 512 KB image, 1.1 MB for Confluence or
+// PhantomBTB and 0.68 MB for SHIFT or PIF (their temporal history and
+// PhantomBTB's fill ring hold only what the window recorded), and 3.6 MB
+// for Boomerang on DB2's 5 MB image, whose text fills LLC sets past 8 ways
+// so the tag store holds all 16 (cache.SetAssoc sizes it by occupancy). A
+// full arena of the largest measured, PhantomBTB on DB2 at 4.2 MB, is
+// about 1.1 GB. The bound is sized so a full 18-scheme x 7-workload matrix
 // (126 entries, the sweep shape the paper's figures and this repo's
 // benchmarks re-run most) stays resident even with dozens of other warmed
 // configurations already in the arena — at a tighter bound a process mixing

@@ -109,12 +109,14 @@ type JobsResponse struct {
 }
 
 // MaxJobResultBytes bounds one job's entry in a /v1/jobs answer as
-// boomsimd writes it. The largest entry, about 40 MB, is a Result with the
-// flight recorder's full epoch count, every counter at its longest
-// encoding, every statistic a built-in scheme registers and a custom scheme
-// name as long as a request body allows; a root test builds it and pins
-// that it fits. The coordinator reads at most this many bytes per job of a
-// batch.
+// boomsimd writes it. The largest entry, 29.7 MB in the compact answer, is
+// a Result with the flight recorder's full epoch count, every counter at
+// its longest encoding, every statistic a built-in scheme registers and a
+// custom scheme name as long as a request body allows; a root test builds
+// it and pins that it fits. The coordinator reads at most this many bytes
+// per job of a batch. The bound still holds the 40.3 MB the same entry took
+// when boomsimd indented its answers, so a coordinator can read an older
+// worker during a rolling upgrade.
 const MaxJobResultBytes = 48 << 20
 
 // Health is GET /healthz's body: liveness plus the build and load facts a
