@@ -6,11 +6,10 @@ package btb
 import "boomsim/internal/isa"
 
 // Clone returns an independent deep copy of the BTB: same entries, LRU state
-// and counters, no shared storage.
+// and counters, no shared storage, its sets laid out compactly.
 func (b *BTB) Clone() *BTB {
 	n := *b
-	n.ways = append(make([]btbWay, 0, len(b.ways)), b.ways...)
-	n.fill = append(make([]uint16, 0, len(b.fill)), b.fill...)
+	n.sets = b.sets.Clone()
 	return &n
 }
 

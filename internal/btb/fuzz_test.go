@@ -194,14 +194,25 @@ func (t *refTwoLevel) Clone(l1 *refBTB) *refTwoLevel {
 }
 
 // sharedSlice reports whether any slice field of the structs a and b point
-// to (unexported fields included) has the same non-empty backing array in
-// both: a clone that copies such a struct by value fails it.
+// to (unexported fields and fields of nested structs included) has the same
+// non-empty backing array in both: a clone that copies such a struct by
+// value fails it.
 func sharedSlice(a, b any) bool {
-	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	return sharedSliceField(reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem())
+}
+
+func sharedSliceField(va, vb reflect.Value) bool {
 	for i := 0; i < va.NumField(); i++ {
 		fa, fb := va.Field(i), vb.Field(i)
-		if fa.Kind() == reflect.Slice && fa.Cap() > 0 && fb.Cap() > 0 && fa.Pointer() == fb.Pointer() {
-			return true
+		switch fa.Kind() {
+		case reflect.Slice:
+			if fa.Cap() > 0 && fb.Cap() > 0 && fa.Pointer() == fb.Pointer() {
+				return true
+			}
+		case reflect.Struct:
+			if sharedSliceField(fa, fb) {
+				return true
+			}
 		}
 	}
 	return false
@@ -369,8 +380,7 @@ func fuzzTwoLevel(t *testing.T, cfg TwoLevelConfig, l1Entries, l1Assoc int, ops 
 		if op&0x3f == 0x3f {
 			if len(live) < 4 {
 				cl := p.tl.Clone(p.tl.l1.Clone())
-				if sharedSlice(cl.l1, p.tl.l1) || sharedSlice(cl.l2, p.tl.l2) ||
-					sharedSlice(cl, p.tl) || sharedSlice(&cl.index, &p.tl.index) {
+				if sharedSlice(cl.l1, p.tl.l1) || sharedSlice(cl.l2, p.tl.l2) || sharedSlice(cl, p.tl) {
 					t.Fatalf("op %d: Clone shares storage with its original", i/3)
 				}
 				live = append(live, copyPair{cl, p.r.Clone(p.r.l1.Clone())})

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"boomsim/internal/isa"
 )
@@ -18,9 +19,7 @@ type Line = uint64
 // LineOf maps an instruction address to its line index.
 func LineOf(pc isa.Addr) Line { return pc / isa.BlockBytes }
 
-// way is one valid tag. A set's valid ways are always its first fill[set]
-// slots: nothing invalidates a line, so the occupied ways stay a prefix of
-// the set.
+// way is one valid tag.
 type way struct {
 	tag     uint64
 	lastUse int64
@@ -28,20 +27,16 @@ type way struct {
 
 // SetAssoc is a set-associative cache with true-LRU replacement over line
 // indices. It stores presence only (instruction caches are read-only here).
-// Ways live in one flat backing array indexed arithmetically — set lookup is
-// pure address math, with no per-set slice header to chase on the hot path.
+// Set lookup is pure address math: an offset and a fill count per set
+// locate the set's valid ways in one shared pool, with no per-set slice
+// header to chase on the hot path.
 //
-// Storage follows occupancy, not capacity: the backing array holds stride
-// slots per set, starting at min(assoc, 2) and doubling (up to assoc) the
-// first time any set outgrows it. A 512 KB image preloaded into the 8 MB
-// LLC leaves at most 2 lines in any set on every built-in profile, so that
-// LLC keeps 2 slots per set instead of 16. Replacement does not depend on
-// the layout.
+// Storage follows occupancy set by set (see Sets): a set holds only the
+// chunk its filled ways need. A 512 KB image preloaded into the 8 MB LLC
+// leaves one line in almost every set, so that LLC keeps about one slot per
+// set instead of 16. Replacement does not depend on the layout.
 type SetAssoc struct {
-	ways    []way   // set s owns ways[s*stride : s*stride+fill[s]]
-	fill    []uint8 // valid ways per set
-	stride  int
-	assoc   int
+	sets    Sets[way]
 	nsets   uint64
 	isPow2  bool
 	setMask uint64
@@ -51,25 +46,18 @@ type SetAssoc struct {
 // size/(assoc*line). Power-of-two set counts index with a mask; other set
 // counts (e.g. an LLC with capacity carved out for prefetcher metadata)
 // index by modulo so the configured capacity is preserved exactly. The
-// associativity may not exceed 255, the most a per-set fill count holds.
+// associativity may not exceed 65,535, the most a per-set fill count holds.
 func NewSetAssoc(sizeKB, assoc int) *SetAssoc {
 	if sizeKB <= 0 || assoc <= 0 {
 		panic("cache: non-positive geometry")
-	}
-	if assoc > 255 {
-		panic("cache: associativity above 255")
 	}
 	lines := sizeKB * 1024 / isa.BlockBytes
 	nsets := lines / assoc
 	if nsets == 0 {
 		nsets = 1
 	}
-	stride := min(assoc, 2)
 	return &SetAssoc{
-		ways:    make([]way, nsets*stride),
-		fill:    make([]uint8, nsets),
-		stride:  stride,
-		assoc:   assoc,
+		sets:    NewSets[way](nsets, assoc),
 		nsets:   uint64(nsets),
 		isPow2:  nsets&(nsets-1) == 0,
 		setMask: uint64(nsets - 1),
@@ -77,29 +65,25 @@ func NewSetAssoc(sizeKB, assoc int) *SetAssoc {
 }
 
 // Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.assoc }
+func (c *SetAssoc) Ways() int { return c.sets.Assoc() }
 
 // Sets returns the set count.
 func (c *SetAssoc) Sets() int { return int(c.nsets) }
 
 // Lines returns total capacity in lines.
-func (c *SetAssoc) Lines() int { return int(c.nsets) * c.assoc }
+func (c *SetAssoc) Lines() int { return int(c.nsets) * c.sets.Assoc() }
 
-// set returns the set line maps to and that set's valid ways.
-func (c *SetAssoc) set(line Line) (int, []way) {
-	var idx int
+// index returns the set line maps to.
+func (c *SetAssoc) index(line Line) int {
 	if c.isPow2 {
-		idx = int(line & c.setMask)
-	} else {
-		idx = int(line % c.nsets)
+		return int(line & c.setMask)
 	}
-	base := idx * c.stride
-	return idx, c.ways[base : base+int(c.fill[idx])]
+	return int(line % c.nsets)
 }
 
 // Lookup checks for the line, refreshing its LRU position on a hit.
 func (c *SetAssoc) Lookup(line Line, now int64) bool {
-	_, s := c.set(line)
+	s := c.sets.Set(c.index(line))
 	for i := range s {
 		if s[i].tag == line {
 			s[i].lastUse = now
@@ -112,7 +96,7 @@ func (c *SetAssoc) Lookup(line Line, now int64) bool {
 // Contains probes without perturbing LRU (prefetch probes use this so
 // probing does not distort replacement).
 func (c *SetAssoc) Contains(line Line) bool {
-	_, s := c.set(line)
+	s := c.sets.Set(c.index(line))
 	for i := range s {
 		if s[i].tag == line {
 			return true
@@ -125,7 +109,8 @@ func (c *SetAssoc) Contains(line Line) bool {
 // LRU way (ties going to the lowest way). It returns the victim line when a
 // valid entry was displaced.
 func (c *SetAssoc) Insert(line Line, now int64) (victim Line, evicted bool) {
-	idx, s := c.set(line)
+	idx := c.index(line)
+	s := c.sets.Set(idx)
 	lru := 0
 	for i := range s {
 		if s[i].tag == line {
@@ -136,12 +121,8 @@ func (c *SetAssoc) Insert(line Line, now int64) (victim Line, evicted bool) {
 			lru = i
 		}
 	}
-	if n := len(s); n < c.assoc {
-		if n == c.stride {
-			c.grow()
-		}
-		c.ways[idx*c.stride+n] = way{tag: line, lastUse: now}
-		c.fill[idx]++
+	if len(s) < c.sets.Assoc() {
+		c.sets.Append(idx, way{tag: line, lastUse: now})
 		return 0, false
 	}
 	victim = s[lru].tag
@@ -149,15 +130,36 @@ func (c *SetAssoc) Insert(line Line, now int64) (victim Line, evicted bool) {
 	return victim, true
 }
 
-// grow doubles the slots per set, up to the associativity, moving each
-// set's valid ways to the front of its wider slot range.
-func (c *SetAssoc) grow() {
-	stride := min(2*c.stride, c.assoc)
-	ways := make([]way, int(c.nsets)*stride)
-	for s, n := range c.fill {
-		copy(ways[s*stride:], c.ways[s*c.stride:s*c.stride+int(n)])
+// Preload inserts lines as Insert(line, 0) would, one after another, but
+// set by set: the lines are grouped by set, keeping their order within
+// each set, and the pool is sized once for every chunk they can fill. Each
+// set's chunk is then the last in the pool while its lines go in, so an
+// empty cache preloaded with distinct lines ends with no holes and no
+// append slack.
+func (c *SetAssoc) Preload(lines []Line) {
+	// end[i+1] counts set i's lines, then becomes the end of its group in
+	// grouped; placing lines from the back makes it the group's start.
+	end := make([]int32, c.nsets+1)
+	for _, l := range lines {
+		end[c.index(l)+1]++
 	}
-	c.ways, c.stride = ways, stride
+	room := 0
+	for i := range c.Sets() {
+		if k := int(end[i+1]); k > 0 {
+			room += chunkLen(int(c.sets.fill[i])+k, c.sets.assoc)
+		}
+		end[i+1] += end[i]
+	}
+	grouped := make([]Line, len(lines))
+	for _, l := range slices.Backward(lines) {
+		i := c.index(l) + 1
+		end[i]--
+		grouped[end[i]] = l
+	}
+	c.sets.reserve(room)
+	for _, l := range grouped {
+		c.Insert(l, 0)
+	}
 }
 
 func (c *SetAssoc) String() string {

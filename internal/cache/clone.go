@@ -1,11 +1,10 @@
 package cache
 
 // Clone returns an independent deep copy of the cache: same contents and
-// LRU state, no shared storage.
+// LRU state, no shared storage, its sets laid out compactly.
 func (c *SetAssoc) Clone() *SetAssoc {
 	n := *c
-	n.ways = append(make([]way, 0, len(c.ways)), c.ways...)
-	n.fill = append(make([]uint8, 0, len(c.fill)), c.fill...)
+	n.sets = c.sets.Clone()
 	return &n
 }
 

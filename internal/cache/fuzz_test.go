@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -84,12 +85,40 @@ func (c *refSetAssoc) Clone() *refSetAssoc {
 	return &n
 }
 
+// sharesArray reports whether a and b have the same non-empty backing
+// array. A slice with no capacity has no array to share (a clone taken
+// before the first insert has an empty pool).
+func sharesArray[E any](a, b []E) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// requireSameWays fails unless every set of c holds exactly the reference
+// set's valid ways, in way order, with the same LRU stamps. The
+// reference's valid ways are a prefix of its set too: it fills the first
+// invalid way and never invalidates one.
+func requireSameWays(t *testing.T, what string, c *SetAssoc, r *refSetAssoc) {
+	t.Helper()
+	for i := range c.Sets() {
+		got, want := c.sets.Set(i), r.ways[i*r.assoc:(i+1)*r.assoc]
+		for w := range want {
+			if (w < len(got)) != want[w].valid ||
+				w < len(got) && (got[w].tag != want[w].tag || got[w].lastUse != want[w].lastUse) {
+				t.Fatalf("%s: set %d holds %+v, reference %+v", what, i, got, want)
+			}
+		}
+	}
+}
+
 // FuzzSetAssocMatchesReference drives SetAssoc and the reference model with
 // one operation stream and requires identical results from every Lookup,
 // Contains and Insert. Geometry: associativity 1–16 over 1–8 KB, which
 // yields both power-of-two and non-power-of-two set counts. Each operation
 // is two bytes, op and line:
 //
+//   - op == 0x7e preloads (1 op in 256): the line bytes of the next
+//     line+1 operations, which it consumes, go through Preload, while the
+//     reference inserts the same lines in order at cycle 0; every set must
+//     then hold the reference's ways in the same order;
 //   - op&0x7f == 0x7f forks the copy it picks (1 op in 128, so clones are
 //     taken mid-sequence from filled sets); otherwise op&3 picks Lookup,
 //     Contains or (2 and 3) Insert;
@@ -100,14 +129,19 @@ func (c *refSetAssoc) Clone() *refSetAssoc {
 //     evict.
 //
 // A fork clones both models and every copy keeps being driven on its own; a
-// clone sharing ways or fill with its original fails the storage check at
-// once, and would diverge from its reference afterwards.
+// clone sharing its pool, offsets or fills with its original fails the
+// storage check at once, and would diverge from its reference afterwards.
 func FuzzSetAssocMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewPCG(13, 1))
-	for _, g := range [][2]uint8{{1, 1}, {2, 4}, {3, 1}, {4, 8}, {16, 1}, {5, 7}, {8, 2}, {15, 8}} {
+	for n, g := range [][2]uint8{{1, 1}, {2, 4}, {3, 1}, {4, 8}, {16, 1}, {5, 7}, {8, 2}, {15, 8}} {
 		ops := make([]byte, 1000)
 		for i := range ops {
 			ops[i] = byte(rng.UintN(256))
+		}
+		// Half the seeds open with a preload of 128 or 256 lines into the
+		// empty cache, as the LLC warm-up does.
+		if n%2 == 0 {
+			ops[0], ops[1] = 0x7e, byte(127+128*(n/2%2))
 		}
 		f.Add(g[0]-1, g[1]-1, ops)
 	}
@@ -129,10 +163,24 @@ func FuzzSetAssocMatchesReference(f *testing.F) {
 				now++
 			}
 			p := live[int(op>>2&3)%len(live)]
+			if op == 0x7e {
+				var run []Line
+				for n := 0; n <= int(line) && i+3 < len(ops); n++ {
+					i += 2
+					run = append(run, Line(ops[i+1]))
+				}
+				p.c.Preload(run)
+				for _, l := range run {
+					p.r.Insert(l, 0)
+				}
+				requireSameWays(t, fmt.Sprintf("op %d: Preload(%v)", i/2, run), p.c, p.r)
+				continue
+			}
 			if op&0x7f == 0x7f {
 				if len(live) < 4 {
 					cl := p.c.Clone()
-					if &cl.ways[0] == &p.c.ways[0] || &cl.fill[0] == &p.c.fill[0] {
+					if sharesArray(cl.sets.pool, p.c.sets.pool) || sharesArray(cl.sets.off, p.c.sets.off) ||
+						sharesArray(cl.sets.fill, p.c.sets.fill) {
 						t.Fatalf("op %d: Clone shares storage with its original", i/2)
 					}
 					live = append(live, copyPair{cl, p.r.Clone()})
@@ -162,6 +210,7 @@ func FuzzSetAssocMatchesReference(f *testing.F) {
 					t.Fatalf("copy %d at end: Contains(%d) = %v, reference %v", n, line, got, want)
 				}
 			}
+			requireSameWays(t, fmt.Sprintf("copy %d at end", n), p.c, p.r)
 		}
 	})
 }

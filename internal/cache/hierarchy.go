@@ -412,11 +412,10 @@ func (h *Hierarchy) pbufRemove(i int) {
 	h.pbuf = h.pbuf[:len(h.pbuf)-1]
 }
 
-// WarmLLC preloads lines into the LLC (checkpoint-style warmup, mirroring the
-// paper's SMARTS methodology of starting from warmed microarchitectural
-// state).
+// WarmLLC preloads lines into the LLC at cycle 0 (checkpoint-style warmup,
+// mirroring the paper's SMARTS methodology of starting from warmed
+// microarchitectural state). It inserts them set by set into a tag store
+// sized once for them (SetAssoc.Preload).
 func (h *Hierarchy) WarmLLC(lines []Line) {
-	for _, l := range lines {
-		h.llc.Insert(l, 0)
-	}
+	h.llc.Preload(lines)
 }

@@ -14,11 +14,12 @@
 // preallocated pool and are recycled at retirement or squash, the FTQ,
 // probe queue and in-flight window are fixed rings, and the backend and
 // cache hierarchy it drives use preallocated scratch storage (see their
-// package comments). The one bounded exception is a cache's tag store
-// (cache.SetAssoc), which is sized by occupancy: it grows at most
-// ceil(log2(assoc))-1 times per cache in its lifetime, normally while the
-// warm path preloads the workload's text into the LLC, before any measured
-// cycle. Code added to the per-cycle path must follow the same
+// package comments). The one bounded exception is the set-associative
+// arrays, the BTBs and the caches' tag stores (cache.Sets), which are sized
+// by occupancy: a set's chunk grows by appending to one shared pool, and
+// the pool reallocates a logarithmic number of times in the array's
+// lifetime, mostly in the warm window and never once every set is full.
+// Code added to the per-cycle path must follow the same
 // discipline — reuse engine-owned scratch buffers rather than allocating —
 // and TestMeasureLoopAllocationFree (repo root) enforces the contract with
 // testing.AllocsPerRun. Entry pointers handed out by the engine are only

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
+	"boomsim/internal/config"
 	"boomsim/internal/program"
 	"boomsim/internal/scheme"
 	"boomsim/internal/workload"
@@ -195,39 +197,90 @@ func TestCloneSharesNoMutableStorage(t *testing.T) {
 }
 
 // TestWarmMasterFootprint pins what one warm master holds, as the warm
-// arena keeps it: the scheme warmed for 50K instructions on a 512 KB Apache
-// image, the setting of boomsimd's serve-mixed misses. Each bound is the
-// footprint measured when the temporal history, the PhantomBTB ring and
-// the indexes began to follow occupancy, plus 10%. Before that a
-// Confluence master held about 1.6 MB.
+// arena keeps it: the compacted clone of the scheme warmed for 50K
+// instructions on a 512 KB Apache image (the setting of boomsimd's
+// serve-mixed misses), and for 200K on DB2's 5 MB image. Each bound is the
+// footprint measured when the BTBs and the cache tag stores began to hold
+// per-set chunks, plus 10%. Before that a Confluence master on Apache held
+// about 1.02 MB, and 1.6 MB before the temporal history followed occupancy.
 func TestWarmMasterFootprint(t *testing.T) {
 	apache, ok := workload.ByName("Apache")
 	if !ok {
 		t.Fatal("Apache profile missing")
 	}
 	apache.Gen.FootprintKB = 512
+	db2, ok := workload.ByName("DB2")
+	if !ok {
+		t.Fatal("DB2 profile missing")
+	}
 	for _, c := range []struct {
 		scheme scheme.Config
+		w      workload.Profile
+		warm   uint64
 		bytes  uintptr // measured
 	}{
-		{scheme.Confluence(), 1_023_936},
-		{scheme.SHIFT(), 557_512},
-		{scheme.PIF(), 561_000},
-		{scheme.PhantomBTBScheme(), 1_075_008},
-		{scheme.Boomerang(), 528_904},
+		{scheme.Confluence(), apache, 50_000, 451_504},
+		{scheme.SHIFT(), apache, 50_000, 405_656},
+		{scheme.PIF(), apache, 50_000, 404_504},
+		{scheme.PhantomBTBScheme(), apache, 50_000, 432_872},
+		{scheme.Boomerang(), apache, 50_000, 392_424},
+		{scheme.TwoLevelBTB(), apache, 50_000, 423_144},
+		{scheme.FDIP(), apache, 50_000, 386_552},
+		{scheme.Base(), apache, 50_000, 376_760},
+		{scheme.Confluence(), db2, 200_000, 3_896_976},
+		{scheme.Boomerang(), db2, 200_000, 3_593_912},
 	} {
-		t.Run(c.scheme.Name, func(t *testing.T) {
-			spec := DefaultSpec(c.scheme, apache)
-			spec.WarmInstrs = 50_000
-			master, err := WarmInstance(spec)
+		name := c.scheme.Name
+		if c.w.Name != apache.Name {
+			name += " on " + c.w.Name
+		}
+		t.Run(name, func(t *testing.T) {
+			spec := DefaultSpec(c.scheme, c.w)
+			spec.WarmInstrs = c.warm
+			master, _, err := warmMaster(context.Background(), spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := footprint(t, master)
-			t.Logf("%s master: %d bytes", c.scheme.Name, got)
+			t.Logf("%s master: %d bytes", name, got)
 			if bound := c.bytes + c.bytes/10; got > bound {
-				t.Fatalf("%s master holds %d bytes, bound %d (measured %d + 10%%)", c.scheme.Name, got, bound, c.bytes)
+				t.Fatalf("%s master holds %d bytes, bound %d (measured %d + 10%%)", name, got, bound, c.bytes)
 			}
 		})
+	}
+}
+
+// TestBTBsAtTheCapsHoldOnlySetArrays pins what a config at the validation
+// caps costs before it runs. A first-level BTB and a second level of 1<<20
+// entries each would take 2 x 32 MB if their ways were allocated at
+// capacity, and an arena of 256 such masters 16 GB; until entries are
+// written each holds only its per-set offsets and fills, 6 bytes per set.
+func TestBTBsAtTheCapsHoldOnlySetArrays(t *testing.T) {
+	s := scheme.TwoLevelBTB()
+	s.Name = "2-Level BTB at the caps"
+	s.BTBEntries = 1 << 20
+	s.MissPolicy.TwoLevel.L2Entries = 1 << 20
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w := fastProfile("Apache")
+	w.Gen.FootprintKB = 64
+	img, err := imageFor(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	inst := s.Build(scheme.Env{Cfg: cfg, Img: img, WalkSeed: 1})
+	if got := inst.BTB.Entries(); got != 1<<20 {
+		t.Fatalf("first level has %d entries, want %d", got, 1<<20)
+	}
+	var got uintptr
+	for _, sp := range union(append(reachable(t, inst.BTB), reachable(t, inst.TwoLvl)...)) {
+		got += sp.hi - sp.lo
+	}
+	sets := 2 * (1 << 20) / cfg.BTBAssoc
+	if want := uintptr(6*sets) + 1024; got > want {
+		t.Fatalf("the two BTB levels hold %d bytes before any entry is written, want at most %d (6 per set for %d sets, plus 1 KB)",
+			got, want, sets)
 	}
 }

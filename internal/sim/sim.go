@@ -215,8 +215,8 @@ func RunContext(ctx context.Context, spec Spec, h Hooks) (Result, error) {
 
 // buildWarm performs everything up to the measurement window: image
 // generation, scheme construction, LLC preload, the warm window and the
-// stats reset. It is both RunContext's non-shared path and the builder the
-// warm arena memoises masters with.
+// stats reset. It is both RunContext's non-shared path and what warmMaster
+// builds the warm arena's masters from.
 func buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error) {
 	img, err := imageFor(spec.Workload, spec.ImageSeed)
 	if err != nil {

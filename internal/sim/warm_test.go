@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -116,6 +117,68 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 				collectResult(spec, fork2), collectResult(spec, fresh))
 		})
 	}
+}
+
+// FuzzForkIdentity drives random configurations through the fork the warm
+// arena hands out, a clone of the clone the arena keeps of a warmed
+// instance, and requires fork-and-run to produce the Result JSON of one
+// straight run without reuse. The input picks a built-in scheme, a BTB of
+// 64 to 32,768 entries, a workload, a footprint of 16 to 526 KB, the warm
+// and measure lengths, and a point inside the measure window where the
+// running fork is forked once more: clones are taken from masters laid out
+// compactly and from forks whose sets have grown since, and a field a Clone
+// forgets shows up as a Result difference.
+func FuzzForkIdentity(f *testing.F) {
+	schemes := builtinSchemes()
+	pick := func(name string) uint8 {
+		for i, s := range schemes {
+			if s.Name == name {
+				return uint8(i)
+			}
+		}
+		panic("no built-in scheme " + name)
+	}
+	f.Add(pick("Confluence"), uint8(2), uint16(16384-64), uint8(248), uint16(20_000), uint16(20_000), uint16(7_001))
+	f.Add(pick("2-Level BTB"), uint8(5), uint16(2048-64), uint8(120), uint16(30_000), uint16(15_000), uint16(9_999))
+	f.Add(pick("PhantomBTB"), uint8(4), uint16(1000), uint8(60), uint16(10_000), uint16(25_000), uint16(1))
+	f.Add(pick("Boomerang"), uint8(0), uint16(0), uint8(0), uint16(0), uint16(5_000), uint16(0))
+	f.Fuzz(func(t *testing.T, schemePick, wlPick uint8, btbEntries uint16, footprint uint8, warm, measure, forkAt uint16) {
+		s := schemes[int(schemePick)%len(schemes)]
+		s.BTBEntries = 64 + int(btbEntries)%(32_768-64+1)
+		w := workload.Profiles[int(wlPick)%len(workload.Profiles)]
+		w.Gen.FootprintKB = 16 + 2*int(footprint)
+		spec := DefaultSpec(s, w)
+		spec.WarmInstrs = uint64(warm)
+		spec.MeasureInstrs = 1 + uint64(measure)
+		spec.ReuseWarm = false
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		master, _, err := warmMaster(context.Background(), spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork := master.Clone()
+		fork.Engine.Run(uint64(forkAt)%spec.MeasureInstrs, 0)
+		refork := fork.Clone()
+		refork.Engine.Run(spec.MeasureInstrs, 0)
+
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(collectResult(spec, refork))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s on %s (%d KB, BTB %d, warm %d, fork at %d of %d): fork-of-fork result differs from a straight run:\n fork:     %s\n straight: %s",
+				s.Name, w.Name, w.Gen.FootprintKB, s.BTBEntries, spec.WarmInstrs, uint64(forkAt)%spec.MeasureInstrs,
+				spec.MeasureInstrs, gotJSON, wantJSON)
+		}
+	})
 }
 
 // TestConcurrentForksOfOneMaster runs two forks of one warmed master at the
