@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,12 +259,12 @@ func TestLLCReservationShrinksLLC(t *testing.T) {
 // sets their size.
 func TestLLCStorageTracksOccupancy(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		lines     int
-		slotsEach float64 // most pool capacity per set
+		name     string
+		lines    int
+		min, max float64 // pool capacity per set
 	}{
-		{"512KB image", 8192, 1.05},
-		{"5MB image", 81920, 16},
+		{"512KB image", 8192, 1, 1.05},
+		{"5MB image", 81920, 16, 16},
 	} {
 		h := NewHierarchy(config.Default(), 0)
 		img := make([]Line, tc.lines)
@@ -271,8 +272,8 @@ func TestLLCStorageTracksOccupancy(t *testing.T) {
 			img[i] = Line(i)
 		}
 		h.WarmLLC(img)
-		if got := float64(cap(h.llc.sets.pool)) / float64(h.llc.Sets()); got > tc.slotsEach {
-			t.Errorf("%s: LLC pool holds %.3f slots per set, want at most %g", tc.name, got, tc.slotsEach)
+		if got := float64(cap(h.llc.sets.pool)) / float64(h.llc.Sets()); got < tc.min || got > tc.max {
+			t.Errorf("%s: LLC pool holds %.3f slots per set, want %g to %g", tc.name, got, tc.min, tc.max)
 		}
 		if h.llc.Lines() != config.Default().LLCSizeKB*1024/64 {
 			t.Errorf("%s: Lines() = %d, want the configured capacity", tc.name, h.llc.Lines())
@@ -280,6 +281,38 @@ func TestLLCStorageTracksOccupancy(t *testing.T) {
 		for _, l := range []Line{0, Line(tc.lines - 1)} {
 			if !h.llc.Contains(l) {
 				t.Errorf("%s: warmed line %d missing", tc.name, l)
+			}
+		}
+	}
+}
+
+// TestSetsChunkLayout pins the chunk policy the memory bounds rest on: a
+// set's chunk is the power of two at or above its fill, capped at the
+// associativity; a full chunk that ends the pool grows in place, any other
+// moves to the pool's end and leaves a hole; and Clone drops the holes.
+func TestSetsChunkLayout(t *testing.T) {
+	s := NewSets[int](4, 6)
+	s.Append(0, 10)
+	s.Append(0, 11) // set 0 ends the pool: grows in place to 2 slots
+	s.Append(1, 20) // set 1's chunk follows it
+	s.Append(0, 12) // set 0 is full and no longer last: moves, 4 slots
+	if len(s.pool) != 7 || s.holes != 2 || s.off[0] != 3 {
+		t.Fatalf("after a move: pool %d slots, %d in holes, set 0 at %d; want 7, 2, 3", len(s.pool), s.holes, s.off[0])
+	}
+	s.Append(0, 13)
+	s.Append(0, 14) // set 0 ends the pool again: grows in place to 6, the associativity
+	if len(s.pool) != 9 || s.holes != 2 {
+		t.Fatalf("after growing in place: pool %d slots, %d in holes; want 9, 2", len(s.pool), s.holes)
+	}
+	c := s.Clone()
+	if len(c.pool) != 7 || cap(c.pool) != 7 || c.holes != 0 || c.off[1] != 6 {
+		t.Fatalf("clone: pool %d slots (cap %d), %d in holes, set 1 at %d; want 7, 7, 0, 6",
+			len(c.pool), cap(c.pool), c.holes, c.off[1])
+	}
+	for _, cp := range []Sets[int]{c, c.Clone()} {
+		for i := range s.Len() {
+			if got, want := cp.Set(i), s.Set(i); !slices.Equal(got, want) {
+				t.Fatalf("clone's set %d holds %v, want %v", i, got, want)
 			}
 		}
 	}
