@@ -1,6 +1,6 @@
 // Chaos end-to-end suite: the crash-safety acceptance tests. Each test
 // injects faults — worker and coordinator death, transport kills and 5xx
-// storms, torn journal records, torn store writes — and asserts the one
+// storms, torn journal entries, torn store writes — and asserts the one
 // invariant that matters: a recovered sweep produces bytes identical to an
 // unfaulted local RunMatrix, recomputing only what was genuinely lost.
 //
@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -123,24 +122,15 @@ func (w *durableWorker) restart() {
 
 func (w *durableWorker) url() string { return "http://" + w.addr }
 
-// journalRecords counts the completed-cell records in a journal file (lines
-// minus the header).
-func journalRecords(t *testing.T, path string) int {
+// journalEntries counts the completed cells a journal directory holds, as a
+// freshly opened store sees them.
+func journalEntries(t *testing.T, dir string) int {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.TrimSpace(line) != "" {
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("journal has no header")
-	}
-	return n - 1
+	return int(st.Stats().Entries)
 }
 
 // TestCrashSafeSweepSurvivesWorkerAndCoordinatorDeath is the acceptance
@@ -163,7 +153,7 @@ func TestCrashSafeSweepSurvivesWorkerAndCoordinatorDeath(t *testing.T) {
 		workers[i] = startDurableWorker(t, filepath.Join(t.TempDir(), "store"))
 	}
 	eps := []string{workers[0].url(), workers[1].url(), workers[2].url()}
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	journal := filepath.Join(t.TempDir(), "journal")
 	opts := func() []boomsim.ClusterOption {
 		return []boomsim.ClusterOption{
 			boomsim.WithEndpoints(eps...),
@@ -202,7 +192,7 @@ func TestCrashSafeSweepSurvivesWorkerAndCoordinatorDeath(t *testing.T) {
 		t.Fatal("sweep completed before the injected crash — it never ran through the fault window")
 	}
 
-	journaled := journalRecords(t, journal)
+	journaled := journalEntries(t, journal)
 	if journaled == 0 || journaled >= len(sims) {
 		t.Fatalf("journal holds %d of %d cells at crash time; the crash must land mid-sweep", journaled, len(sims))
 	}
@@ -225,7 +215,7 @@ func TestCrashSafeSweepSurvivesWorkerAndCoordinatorDeath(t *testing.T) {
 	}
 	st := cl2.Stats()
 	if st.JobsResumed != uint64(journaled) {
-		t.Errorf("JobsResumed = %d, want the journal's %d records", st.JobsResumed, journaled)
+		t.Errorf("JobsResumed = %d, want the journal's %d entries", st.JobsResumed, journaled)
 	}
 	if want := uint64(len(sims) - journaled); st.JobsCompleted != want {
 		t.Errorf("recomputed %d cells, want exactly the %d non-journaled ones", st.JobsCompleted, want)
@@ -280,14 +270,15 @@ func TestChaosTransportSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosTornJournalResume completes a journaled sweep, tears the final
-// record (a crash mid-append), and resumes: the torn cell — and only the
-// torn cell — is recomputed, and the results stay byte-identical.
+// TestChaosTornJournalResume completes a journaled sweep, tears one entry
+// of the journal directory (bytes lost off its end, as power loss during a
+// write leaves a file), and resumes: the torn cell — and only the torn cell —
+// is quarantined and recomputed, and the results stay byte-identical.
 func TestChaosTornJournalResume(t *testing.T) {
 	workers := startWorkers(t, 2)
 	sims := fullMatrix(t, 41, 43, 500, 2000)
 	ctx := context.Background()
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	journal := filepath.Join(t.TempDir(), "journal")
 
 	local, err := boomsim.RunMatrix(ctx, sims)
 	if err != nil {
@@ -303,11 +294,12 @@ func TestChaosTornJournalResume(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, local), mustJSON(t, first)) {
 		t.Fatal("journaled sweep differs from local before any fault")
 	}
-	if got := journalRecords(t, journal); got != len(sims) {
-		t.Fatalf("journal holds %d records after a complete sweep, want %d", got, len(sims))
+	if got := journalEntries(t, journal); got != len(sims) {
+		t.Fatalf("journal holds %d entries after a complete sweep, want %d", got, len(sims))
 	}
 
-	if err := chaos.Tear(journal, 9); err != nil {
+	torn := sims[len(sims)/2].Fingerprint()
+	if err := chaos.Tear(filepath.Join(journal, torn[:2], torn), 9); err != nil {
 		t.Fatal(err)
 	}
 
@@ -327,10 +319,104 @@ func TestChaosTornJournalResume(t *testing.T) {
 	}
 	st := cl.Stats()
 	if want := uint64(len(sims) - 1); st.JobsResumed != want {
-		t.Errorf("JobsResumed = %d, want %d — the torn record must not be trusted", st.JobsResumed, want)
+		t.Errorf("JobsResumed = %d, want %d — the torn entry must not be trusted", st.JobsResumed, want)
 	}
 	if st.JobsCompleted != 1 {
 		t.Errorf("recomputed %d cells, want exactly the torn one", st.JobsCompleted)
+	}
+	if _, err := os.Stat(filepath.Join(journal, "quarantine", torn)); err != nil {
+		t.Errorf("the torn entry was not quarantined: %v", err)
+	}
+	if got := journalEntries(t, journal); got != len(sims) {
+		t.Errorf("journal holds %d entries after the resume, want %d: the recomputed cell is stored again", got, len(sims))
+	}
+}
+
+// TestResumeSharesCellsAcrossMatrices runs one matrix against a journal,
+// then an overlapping one against the same journal on fresh workers: the
+// second sweep resumes exactly the cells the two matrices share, computes
+// only the rest, and matches a local run byte for byte. Each cell is a pure
+// function of its fingerprint, so a journal is not tied to the matrix that
+// wrote it.
+func TestResumeSharesCellsAcrossMatrices(t *testing.T) {
+	all := fullMatrix(t, 59, 61, 500, 2000)
+	first, second := all[:2*len(all)/3], all[len(all)/3:]
+	shared := len(first) + len(second) - len(all)
+	ctx := context.Background()
+	journal := filepath.Join(t.TempDir(), "journal")
+
+	if _, err := runDistributed(ctx, first,
+		boomsim.WithEndpoints(endpoints(startWorkers(t, 2))...),
+		boomsim.WithJournal(journal),
+	); err != nil {
+		t.Fatalf("first sweep: %v", err)
+	}
+	local, err := boomsim.RunMatrix(ctx, second)
+	if err != nil {
+		t.Fatalf("local RunMatrix: %v", err)
+	}
+	cl, err := boomsim.NewCluster(
+		boomsim.WithEndpoints(endpoints(startWorkers(t, 2))...),
+		boomsim.WithJournal(journal),
+	)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	resumed, err := cl.RunMatrix(ctx, second)
+	if err != nil {
+		t.Fatalf("second sweep against the first one's journal: %v", err)
+	}
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, resumed)) {
+		t.Fatal("second sweep differs from its local run")
+	}
+	st := cl.Stats()
+	if st.JobsResumed != uint64(shared) {
+		t.Errorf("JobsResumed = %d, want the %d shared cells", st.JobsResumed, shared)
+	}
+	if want := uint64(len(second) - shared); st.JobsCompleted != want || st.CacheHits != 0 {
+		t.Errorf("computed %d cells (%d worker cache hits), want the %d unshared ones, none cached",
+			st.JobsCompleted, st.CacheHits, want)
+	}
+	if got := journalEntries(t, journal); got != len(all) {
+		t.Errorf("journal holds %d entries, want the union's %d", got, len(all))
+	}
+}
+
+// TestResumeFromWorkerStoreAgainstDeadPool passes a durable worker's -store
+// directory to WithJournal: worker and coordinator share one format, so
+// every cell that worker computed resumes from its store, with no dispatch,
+// while the worker itself is dead.
+func TestResumeFromWorkerStoreAgainstDeadPool(t *testing.T) {
+	sims := fullMatrix(t, 71, 73, 500, 2000)
+	ctx := context.Background()
+	local, err := boomsim.RunMatrix(ctx, sims)
+	if err != nil {
+		t.Fatalf("local RunMatrix: %v", err)
+	}
+	w := startDurableWorker(t, filepath.Join(t.TempDir(), "store"))
+	if _, err := runDistributed(ctx, sims, boomsim.WithEndpoints(w.url())); err != nil {
+		t.Fatalf("sweep through the durable worker: %v", err)
+	}
+	w.stop()
+
+	cl, err := boomsim.NewCluster(
+		boomsim.WithEndpoints(w.url()),
+		boomsim.WithJournal(w.dir),
+	)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	resumed, err := cl.RunMatrix(ctx, sims)
+	if err != nil {
+		t.Fatalf("sweep resumed from the worker's store against a dead pool: %v", err)
+	}
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, resumed)) {
+		t.Fatal("cells resumed from the worker's store differ from the local run")
+	}
+	st := cl.Stats()
+	if st.JobsResumed != uint64(len(sims)) || st.JobsDispatched != 0 {
+		t.Errorf("resumed %d and dispatched %d of %d cells, want all resumed and none dispatched",
+			st.JobsResumed, st.JobsDispatched, len(sims))
 	}
 }
 

@@ -52,10 +52,7 @@ format. Exits 1 on a FAIL verdict.
 		experimentFatalf("%v", err)
 	}
 
-	var opts []boomsim.ExperimentOption
-	if *determ {
-		opts = append(opts, boomsim.WithExperimentTimestamp(""))
-	}
+	var opts []boomsim.MatrixOption
 	if *endpoints != "" {
 		cl, err := boomsim.NewCluster(
 			boomsim.WithEndpoints(strings.Split(*endpoints, ",")...),
@@ -64,9 +61,9 @@ format. Exits 1 on a FAIL verdict.
 		if err != nil {
 			experimentFatalf("%v", err)
 		}
-		opts = append(opts, boomsim.WithExperimentCluster(cl))
+		opts = append(opts, boomsim.WithCluster(cl))
 	} else if *jobs > 0 {
-		opts = append(opts, boomsim.WithExperimentParallelism(*jobs))
+		opts = append(opts, boomsim.WithParallelism(*jobs))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -84,6 +81,9 @@ format. Exits 1 on a FAIL verdict.
 	report, err := boomsim.RunExperiment(ctx, spec, opts...)
 	if err != nil {
 		experimentFatalf("%v", err)
+	}
+	if !*determ {
+		report.Header.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	}
 	fmt.Fprintf(os.Stderr, "boomctl: experiment completed in %v\n", time.Since(start).Round(time.Millisecond))
 

@@ -25,15 +25,19 @@
 //	boomctl -workers ... -schemes all -workloads all -image-seeds 1,2,3 -json
 //	boomctl -workers ... -scheme-file deep-ftq.json,wide-boom.json -workloads Apache
 //	boomctl -workers ... -hedge 30s -metrics-addr :9090
-//	boomctl -workers ... -journal sweep.journal        # crash-safe sweep
-//	boomctl -resume sweep.journal -workers ...         # pick it back up
-//	boomctl -membership members.json -journal sweep.journal
+//	boomctl -workers ... -journal sweep.d              # crash-safe sweep
+//	boomctl -resume sweep.d -workers ...               # pick it back up
+//	boomctl -membership members.json -journal sweep.d
 //	boomctl -workers ... -trace-out sweep.trace.json   # Perfetto-loadable trace
 //	boomctl -workers ... -log-level debug -flight-every 50000 -json
 //
-// Crash safety: with -journal every completed cell is durably logged, and
-// re-running the identical sweep against the same journal (-resume is the
-// self-documenting alias) computes only the cells that never finished.
+// Crash safety: -journal names a result store directory, the format
+// boomsimd -store writes. Every completed cell is stored durably under its
+// configuration fingerprint, and a sweep against the same directory
+// (-resume is the self-documenting alias) computes only the cells it does
+// not hold: the unfinished remainder of a crashed sweep, or whatever
+// another matrix did not share. A worker's -store directory resumes the
+// cells that worker computed.
 // With -membership the worker pool is re-read from a JSON file during the
 // sweep, so workers can be added or drained mid-run. -cell-timeout caps how
 // long any single cell may keep failing before the sweep gives up.
@@ -97,8 +101,8 @@ func main() {
 		retries     = flag.Int("retries", 4, "posts per cell before the sweep fails (a failed post or per-job error uses one; a per-job 429 does not)")
 		hedge       = flag.Duration("hedge", 0, "duplicate straggling cells after this in-flight time (0 = off)")
 		timeout     = flag.Duration("timeout", 5*time.Minute, "per-batch request timeout: one post, from send to the last byte of the answer")
-		journal     = flag.String("journal", "", "write-ahead log of completed cells; rerunning against it resumes the sweep")
-		resume      = flag.String("resume", "", "resume a crashed sweep from this journal (same as -journal, but the file must exist)")
+		journal     = flag.String("journal", "", "result store directory that records completed cells; a sweep against it computes only the cells it lacks")
+		resume      = flag.String("resume", "", "resume a crashed sweep from this journal directory (same as -journal, but it must exist)")
 		membership  = flag.String("membership", "", `membership file ({"workers":[...]}) re-read during the sweep; overrides -workers as the authoritative pool`)
 		cellTimeout = flag.Duration("cell-timeout", 0, "max wall-clock a single cell may spend being retried (0 = unbounded)")
 		metricsAddr = flag.String("metrics-addr", "", "serve coordinator Prometheus metrics and /healthz (membership view) on this address during the run")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"boomsim/internal/cluster"
+	"boomsim/internal/store"
 	"boomsim/internal/wire"
 )
 
@@ -58,16 +59,24 @@ func WithMembershipFile(path string) ClusterOption {
 	}
 }
 
-// WithJournal makes the sweep resumable: every completed cell is durably
-// appended to the write-ahead log at path, and re-running the same matrix
-// against the same journal dispatches only the cells that never completed.
-// A journal recorded for a different matrix fails with ErrJournalMismatch.
-func WithJournal(path string) ClusterOption {
+// WithJournal makes sweeps resumable through the result store directory
+// dir, created if missing and never garbage-collected: every completed cell
+// is stored durably under its Fingerprint, and a sweep answers every cell
+// the store holds without dispatching it, reported as cached. Each cell is
+// a pure function of its Fingerprint, so a journal resumes the cells any
+// other matrix shares with it, and a boomsimd -store directory is a
+// journal of the cells that worker computed. An entry that fails
+// verification is quarantined and recomputed.
+func WithJournal(dir string) ClusterOption {
 	return func(c *cluster.Config) error {
-		if path == "" {
-			return fmt.Errorf("%w: empty journal path", ErrInvalidOption)
+		if dir == "" {
+			return fmt.Errorf("%w: empty journal directory", ErrInvalidOption)
 		}
-		c.JournalPath = path
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			return fmt.Errorf("boomsim: opening journal: %w", err)
+		}
+		c.Journal = st
 		return nil
 	}
 }
@@ -302,8 +311,6 @@ func wrapClusterError(err error) error {
 		return fmt.Errorf("%w: %w", ErrWorkerFailed, err)
 	case errors.Is(err, cluster.ErrCellTimeout):
 		return fmt.Errorf("%w: %w", ErrCellTimeout, err)
-	case errors.Is(err, cluster.ErrJournalMismatch):
-		return fmt.Errorf("%w: %w", ErrJournalMismatch, err)
 	case errors.Is(err, cluster.ErrJobInvalid):
 		return fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

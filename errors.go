@@ -39,11 +39,6 @@ var (
 	// were still available, but the cell had been failing for too long.
 	ErrCellTimeout = errors.New("boomsim: cluster cell timed out")
 
-	// ErrJournalMismatch is returned by distributed runs when WithJournal
-	// names a journal recorded for a different sweep; resuming it would
-	// stitch two matrices together.
-	ErrJournalMismatch = errors.New("boomsim: sweep journal belongs to a different matrix")
-
 	// ErrInvalidSpec is returned by ParseExperimentSpec, LoadExperimentSpec
 	// and RunExperiment when an experiment spec is structurally unusable:
 	// wrong version, empty seed list, duplicate schemes, malformed

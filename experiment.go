@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"boomsim/internal/exp"
 )
@@ -40,8 +39,8 @@ type ExperimentWindow = exp.Window
 // mean/stderr/95% confidence intervals across seeds, one verdict per
 // criterion, and the overall PASS/FAIL/INCONCLUSIVE outcome. Reports are
 // deterministic plain data — byte-identical across parallelism levels and
-// local/distributed execution — except for the single
-// Header.GeneratedAt timestamp.
+// local/distributed execution. RunExperiment leaves Header.GeneratedAt,
+// the report's one timestamp, empty for the caller to stamp.
 type ExperimentReport = exp.Report
 
 // Experiment verdict values, from best to worst: every criterion's
@@ -202,62 +201,15 @@ func trimPrefix(msg, prefix string) string {
 	return ": " + msg
 }
 
-// ExperimentOption configures RunExperiment.
-type ExperimentOption func(*experimentConfig) error
-
-type experimentConfig struct {
-	parallelism int
-	cluster     *Cluster
-	timestamp   *string
-}
-
-// WithExperimentParallelism bounds local concurrency (0 or unset =
-// GOMAXPROCS, 1 = sequential). Reports are byte-identical for every value.
-func WithExperimentParallelism(n int) ExperimentOption {
-	return func(c *experimentConfig) error {
-		c.parallelism = n
-		return nil
-	}
-}
-
-// WithExperimentCluster fans the experiment's simulation matrix out over a
-// pool of boomsimd workers instead of the local worker pool. The report is
-// byte-identical to a local run of the same spec — every cell is a pure
-// function of its configuration.
-func WithExperimentCluster(cl *Cluster) ExperimentOption {
-	return func(c *experimentConfig) error {
-		if cl == nil {
-			return fmt.Errorf("%w: nil experiment cluster", ErrInvalidOption)
-		}
-		c.cluster = cl
-		return nil
-	}
-}
-
-// WithExperimentTimestamp fixes the report's Header.GeneratedAt — the one
-// field of a report that is not a pure function of the spec. The default
-// is the current UTC time in RFC 3339; pass "" for a fully deterministic
-// report (what the determinism tests and CI byte-identity checks use).
-func WithExperimentTimestamp(ts string) ExperimentOption {
-	return func(c *experimentConfig) error {
-		c.timestamp = &ts
-		return nil
-	}
-}
-
 // RunExperiment executes one declarative experiment end to end: validate
 // the spec, expand it to its simulation matrix (schemes x workloads x
-// seeds x parameter points, baseline included), run the matrix on the
-// local pool or a Cluster, aggregate every metric across seeds into
-// mean/stderr/95% CI, judge each criterion, and return the self-contained
-// report. Cancellation semantics match RunMatrix (ErrCanceled).
-func RunExperiment(ctx context.Context, spec ExperimentSpec, opts ...ExperimentOption) (*ExperimentReport, error) {
-	var cfg experimentConfig
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
+// seeds x parameter points, baseline included), run the matrix with
+// RunMatrix and opts (WithParallelism, WithCluster, ...), aggregate every
+// metric across seeds into mean/stderr/95% CI, judge each criterion, and
+// return the self-contained report. The report is a pure function of the
+// spec: byte-identical for every option, with Header.GeneratedAt left
+// empty. Cancellation semantics match RunMatrix (ErrCanceled).
+func RunExperiment(ctx context.Context, spec ExperimentSpec, opts ...MatrixOption) (*ExperimentReport, error) {
 	env := experimentEnv()
 	if err := spec.Validate(env); err != nil {
 		return nil, mapExpError(err)
@@ -327,13 +279,7 @@ func RunExperiment(ctx context.Context, spec ExperimentSpec, opts ...ExperimentO
 		}
 	}
 
-	var matrixOpts []MatrixOption
-	if cfg.cluster != nil {
-		matrixOpts = append(matrixOpts, WithCluster(cfg.cluster))
-	} else if cfg.parallelism > 0 {
-		matrixOpts = append(matrixOpts, WithParallelism(cfg.parallelism))
-	}
-	results, err := RunMatrix(ctx, sims, matrixOpts...)
+	results, err := RunMatrix(ctx, sims, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", spec.Name, err)
 	}
@@ -351,11 +297,6 @@ func RunExperiment(ctx context.Context, spec ExperimentSpec, opts ...ExperimentO
 	report, err := exp.BuildReport(&spec, schemeNames, cells)
 	if err != nil {
 		return nil, mapExpError(err)
-	}
-	if cfg.timestamp != nil {
-		report.Header.GeneratedAt = *cfg.timestamp
-	} else {
-		report.Header.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	}
 	return report, nil
 }

@@ -106,11 +106,10 @@ func TestExperimentSpecInvalidCorpus(t *testing.T) {
 	}
 }
 
-// experimentReportJSON runs one spec with the timestamp suppressed and
-// returns the report's canonical JSON bytes.
-func experimentReportJSON(t *testing.T, spec boomsim.ExperimentSpec, opts ...boomsim.ExperimentOption) []byte {
+// experimentReportJSON runs one spec and returns the report's canonical
+// JSON bytes.
+func experimentReportJSON(t *testing.T, spec boomsim.ExperimentSpec, opts ...boomsim.MatrixOption) []byte {
 	t.Helper()
-	opts = append([]boomsim.ExperimentOption{boomsim.WithExperimentTimestamp("")}, opts...)
 	report, err := boomsim.RunExperiment(context.Background(), spec, opts...)
 	if err != nil {
 		t.Fatalf("RunExperiment: %v", err)
@@ -135,8 +134,8 @@ func TestExperimentReportDeterminism(t *testing.T) {
 	// three runs of the 81-cell matrix cheap.
 	spec.Window = &boomsim.ExperimentWindow{Warm: 2000, Measure: 10000}
 
-	sequential := experimentReportJSON(t, spec, boomsim.WithExperimentParallelism(1))
-	parallel := experimentReportJSON(t, spec, boomsim.WithExperimentParallelism(8))
+	sequential := experimentReportJSON(t, spec, boomsim.WithParallelism(1))
+	parallel := experimentReportJSON(t, spec, boomsim.WithParallelism(8))
 	if string(sequential) != string(parallel) {
 		t.Errorf("parallelism 1 vs 8: reports differ")
 	}
@@ -146,7 +145,7 @@ func TestExperimentReportDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distributed := experimentReportJSON(t, spec, boomsim.WithExperimentCluster(cl))
+	distributed := experimentReportJSON(t, spec, boomsim.WithCluster(cl))
 	if string(sequential) != string(distributed) {
 		t.Errorf("local vs 2-worker cluster: reports differ")
 	}
@@ -176,36 +175,17 @@ func tinyExperiment() boomsim.ExperimentSpec {
 }
 
 // GeneratedAt is the one field of a report that is not a function of the
-// spec. Two runs with different stamps must differ in that single header
-// key and nowhere else, and the default stamp must be non-empty.
+// spec, so RunExperiment leaves it to the caller: a report carries no
+// generated_at key, and two runs of one spec are byte-identical.
 func TestExperimentTimestampIsolation(t *testing.T) {
 	spec := tinyExperiment()
-	ctx := context.Background()
-
-	a, err := boomsim.RunExperiment(ctx, spec, boomsim.WithExperimentTimestamp("2026-01-01T00:00:00Z"))
-	if err != nil {
-		t.Fatal(err)
+	a := experimentReportJSON(t, spec)
+	b := experimentReportJSON(t, spec)
+	if string(a) != string(b) {
+		t.Errorf("two runs of one spec differ")
 	}
-	b, err := boomsim.RunExperiment(ctx, spec, boomsim.WithExperimentTimestamp("2026-02-02T00:00:00Z"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Header.GeneratedAt == b.Header.GeneratedAt {
-		t.Fatalf("timestamps did not take: %q vs %q", a.Header.GeneratedAt, b.Header.GeneratedAt)
-	}
-	a.Header.GeneratedAt, b.Header.GeneratedAt = "", ""
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Errorf("reports differ beyond generated_at")
-	}
-
-	stamped, err := boomsim.RunExperiment(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stamped.Header.GeneratedAt == "" {
-		t.Errorf("default run left generated_at empty")
+	if strings.Contains(string(a), "generated_at") {
+		t.Errorf("RunExperiment stamped the report:\n%s", a)
 	}
 }
 
@@ -224,8 +204,7 @@ func TestExperimentCoverageMatchesSimulator(t *testing.T) {
 	spec.Seeds = []uint64{seed}
 	spec.Window = &boomsim.ExperimentWindow{Warm: warm, Measure: measure}
 
-	report, err := boomsim.RunExperiment(context.Background(), spec,
-		boomsim.WithExperimentTimestamp(""))
+	report, err := boomsim.RunExperiment(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +254,7 @@ func TestExperimentRatioMetrics(t *testing.T) {
 		"prefetches_per_ki", "llc_accesses_per_ki", "useless_prefetches_per_ki",
 		"stall_share_sequential", "stall_share_conditional", "stall_share_unconditional",
 	}
-	report, err := boomsim.RunExperiment(context.Background(), spec, boomsim.WithExperimentTimestamp(""))
+	report, err := boomsim.RunExperiment(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +320,7 @@ func TestExperimentPaperClaimsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			report, err := boomsim.RunExperiment(context.Background(), spec,
-				boomsim.WithExperimentTimestamp(""))
+			report, err := boomsim.RunExperiment(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,7 +91,7 @@ type figure map[figureCell]map[string]float64
 
 func runFigure(t *testing.T, spec boomsim.ExperimentSpec) figure {
 	t.Helper()
-	report, err := boomsim.RunExperiment(context.Background(), spec, boomsim.WithExperimentTimestamp(""))
+	report, err := boomsim.RunExperiment(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package chaos is the repo's fault-injection harness: seeded, deterministic
 // wrappers around the cluster's HTTP transport and the result store's
 // filesystem, used by tests to prove that sweeps survive worker kills,
-// 5xx storms, timeouts, slow responses, partial writes and torn journal
-// records with results byte-identical to an unfaulted run.
+// 5xx storms, timeouts, slow responses, partial writes and torn store
+// entries (a worker's -store or a coordinator's journal, one format) with
+// results byte-identical to an unfaulted run.
 //
 // This package is test-only. A CI grep (and the chaos-e2e job) keeps it out
 // of every production import path: nothing under cmd/, examples/ or a

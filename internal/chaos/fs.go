@@ -82,8 +82,8 @@ func (f *FS) FSCounts() (torn, fails int) {
 
 // Corrupt overwrites the tail of the file at path with garbage, preserving
 // length — the bit-rot case the store's digest check exists for. Tear
-// truncates n bytes off the end — the torn-record case for journals and
-// store entries alike.
+// truncates n bytes off the end — a torn store entry, whether the store is
+// a worker's or a sweep journal.
 func Corrupt(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -99,7 +99,7 @@ func Corrupt(path string) error {
 }
 
 // Tear truncates the last n bytes of the file at path (all but one byte if
-// n exceeds the file), simulating a crash mid-append.
+// n exceeds the file), simulating a write whose tail was lost to a crash.
 func Tear(path string, n int) error {
 	info, err := os.Stat(path)
 	if err != nil {

@@ -25,10 +25,11 @@
 //   - The pool itself is dynamic: with a membership file configured, the
 //     coordinator re-reads it during the sweep, probing and admitting new
 //     workers and retiring removed ones mid-flight.
-//   - With a journal configured, every completed cell is durably logged;
-//     re-running the same sweep against the same journal re-dispatches
-//     only the cells that never completed, so a crashed coordinator
-//     resumes instead of restarting.
+//   - With a journal configured, every completed cell is durably
+//     recorded under its Key, and a run answers every cell the journal
+//     holds before dispatching anything, so a crashed coordinator resumes
+//     instead of restarting. Cells are pure functions of their Key, so a
+//     journal resumes whatever cells another sweep shares with it.
 //
 // The package deliberately speaks only internal/wire and the standard
 // library: the public boomsim package builds on it, so it cannot import
@@ -72,6 +73,15 @@ var (
 // membership joins.
 const probeTimeout = 2 * time.Second
 
+// Journal is the durable record of completed cells a run resumes from,
+// keyed by each cell's Key. It has the two methods of boomsim's
+// content-addressed result store, the production journal: Get returns only
+// verified bytes, and Put returns once the entry is durable.
+type Journal interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, payload []byte) error
+}
+
 // Config sizes a Coordinator. Endpoints or MembershipFile is required;
 // everything else defaults sensibly.
 type Config struct {
@@ -89,12 +99,11 @@ type Config struct {
 	// MembershipInterval is the re-read cadence for MembershipFile
 	// (default 1s).
 	MembershipInterval time.Duration
-	// JournalPath, when set, names this sweep's write-ahead log: every
-	// completed cell is appended durably, and a rerun of the same matrix
-	// against the same journal dispatches only the unfinished cells.
-	// A journal recorded for a different matrix is refused
-	// (ErrJournalMismatch).
-	JournalPath string
+	// Journal, when set, makes the sweep resumable: Run answers every cell
+	// it holds before probing the pool, and Puts each cell it completes. A
+	// failed Put costs resumability, not the sweep; it counts in
+	// Stats.JournalErrors.
+	Journal Journal
 	// InFlight bounds concurrently outstanding batches per worker
 	// (default 2) — the coordinator-side half of backpressure.
 	InFlight int
@@ -369,7 +378,8 @@ type runState struct {
 	// may add workers. They re-place as soon as the pool has anyone.
 	parked  []int
 	probing map[string]bool // membership candidates with a probe in flight
-	journal *Journal
+	// journalErr is the first failed journal Put of the run.
+	journalErr error
 
 	remaining int
 	inflight  map[int]*batch
@@ -431,34 +441,18 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]JobResult, error) 
 
 	// Restore journaled progress before touching the network: a fully
 	// journaled sweep completes even against a dead pool.
-	if c.cfg.JournalPath != "" {
-		keys := make([]string, len(jobs))
+	if c.cfg.Journal != nil {
 		for i := range jobs {
-			keys[i] = jobs[i].Key
-		}
-		j, err := OpenJournal(c.cfg.JournalPath, SweepID(keys), len(jobs))
-		if err != nil {
-			return nil, err
-		}
-		st.journal = j
-		defer j.Close()
-		resumed := 0
-		for i := range jobs {
-			if st.done[i] {
-				continue
-			}
-			if raw, ok := j.Lookup(jobs[i].Key); ok {
+			if raw, ok := c.cfg.Journal.Get(jobs[i].Key); ok {
 				st.done[i] = true
 				st.remaining--
 				st.results[i] = JobResult{Cached: true, Result: raw}
 				st.m.jobsResumed.Add(1)
-				resumed++
 				st.cellSpan(i, nil, wire.JobResult{Cached: true}, true)
 			}
 		}
 		log.Info("cluster: journal resume",
-			"journal", c.cfg.JournalPath, "journaled", resumed,
-			"recomputing", st.remaining, "total", len(jobs))
+			"journaled", len(jobs)-st.remaining, "recomputing", st.remaining, "total", len(jobs))
 		if st.remaining == 0 {
 			return st.results, nil
 		}
@@ -518,14 +512,12 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]JobResult, error) 
 			return nil, fmt.Errorf("cluster: sweep canceled: %w", runCtx.Err())
 		}
 	}
-	if st.journal != nil {
-		if err := st.journal.Err(); err != nil {
-			// The sweep's results are complete and correct; a journal that
-			// stopped persisting costs only resumability. Surface it without
-			// failing the sweep.
-			st.m.journalErrors.Add(1)
-			log.Warn("cluster: journal stopped persisting", "journal", c.cfg.JournalPath, "err", err)
-		}
+	if st.journalErr != nil {
+		// The sweep's results are complete and correct; a journal that
+		// stopped persisting costs only resumability. Surface it without
+		// failing the sweep.
+		st.m.journalErrors.Add(1)
+		log.Warn("cluster: journal stopped persisting", "err", st.journalErr)
 	}
 	log.Info("cluster: sweep complete",
 		"jobs", len(jobs), "elapsed", time.Since(st.queuedAt).Round(time.Millisecond),
@@ -846,8 +838,10 @@ func (st *runState) handle(ev batchEvent) error {
 				if jr.Cached {
 					st.m.cacheHits.Add(1)
 				}
-				if st.journal != nil {
-					st.journal.Append(st.jobs[j].Key, jr.Result)
+				if st.cfg.Journal != nil {
+					if err := st.cfg.Journal.Put(st.jobs[j].Key, jr.Result); err != nil && st.journalErr == nil {
+						st.journalErr = err
+					}
 				}
 				st.cellSpan(j, b, jr, false)
 				st.cfg.Logger.Debug("cluster: job completed",

@@ -566,6 +566,19 @@ func TestCoordinatorCellTimeoutCapsRetryWallClock(t *testing.T) {
 	}
 }
 
+// mapJournal is an in-memory Journal: the store's two methods over a map.
+type mapJournal map[string][]byte
+
+func (m mapJournal) Get(key string) ([]byte, bool) {
+	raw, ok := m[key]
+	return raw, ok
+}
+
+func (m mapJournal) Put(key string, payload []byte) error {
+	m[key] = payload
+	return nil
+}
+
 // TestCoordinatorResumesFromJournal pins the resume contract: cells already
 // in the journal are answered from it byte-for-byte with zero dispatches —
 // even against a dead pool for a fully journaled sweep — and only the
@@ -573,7 +586,6 @@ func TestCoordinatorCellTimeoutCapsRetryWallClock(t *testing.T) {
 // exactly).
 func TestCoordinatorResumesFromJournal(t *testing.T) {
 	w := newFakeWorker(t)
-	path := filepath.Join(t.TempDir(), "sweep.journal")
 	jobs := makeJobs(12)
 	keys := make([]string, len(jobs))
 	for i := range jobs {
@@ -581,19 +593,13 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	}
 
 	// A prior coordinator journaled the first half before crashing.
-	j, err := OpenJournal(path, SweepID(keys), len(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal := mapJournal{}
 	for i := 0; i < 6; i++ {
-		j.Append(keys[i], okResult(keys[i]))
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+		journal[keys[i]] = okResult(keys[i])
 	}
 
 	cfg := testConfig(w)
-	cfg.JournalPath = path
+	cfg.Journal = journal
 	co, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -640,6 +646,34 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	}
 }
 
+// failingJournal holds nothing and fails every Put, as a full disk would.
+type failingJournal struct{}
+
+func (failingJournal) Get(string) ([]byte, bool) { return nil, false }
+func (failingJournal) Put(string, []byte) error  { return errors.New("disk full") }
+
+// TestCoordinatorSurvivesFailedJournalPuts pins that a journal which stops
+// persisting costs resumability, not the sweep: every cell completes, and
+// the sweep counts once in JournalErrors.
+func TestCoordinatorSurvivesFailedJournalPuts(t *testing.T) {
+	w := newFakeWorker(t)
+	cfg := testConfig(w)
+	cfg.Journal = failingJournal{}
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := makeJobs(5)
+	results, err := co.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatalf("a failing journal failed the sweep: %v", err)
+	}
+	checkResults(t, jobs, results)
+	if st := co.Stats(); st.JournalErrors != 1 || st.JobsCompleted != 5 {
+		t.Errorf("JournalErrors = %d, JobsCompleted = %d; want 1 and 5", st.JournalErrors, st.JobsCompleted)
+	}
+}
+
 // TestCoordinatorTraceCoversResumedAndRetriedCells pins the sweep-trace
 // completeness contract on the two paths the root end-to-end test never
 // reaches: journal-resumed cells must still appear exactly once in the
@@ -658,26 +692,19 @@ func TestCoordinatorTraceCoversResumedAndRetriedCells(t *testing.T) {
 		return nil
 	}
 
-	path := filepath.Join(t.TempDir(), "sweep.journal")
 	jobs := makeJobs(8)
 	keys := make([]string, len(jobs))
 	for i := range jobs {
 		keys[i] = jobs[i].Key
 	}
 	// A prior coordinator journaled the first half before crashing.
-	j, err := OpenJournal(path, SweepID(keys), len(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
+	journal := mapJournal{}
 	for i := 0; i < 4; i++ {
-		j.Append(keys[i], okResult(keys[i]))
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+		journal[keys[i]] = okResult(keys[i])
 	}
 
 	cfg := testConfig(w)
-	cfg.JournalPath = path
+	cfg.Journal = journal
 	cfg.Trace = obs.NewCollector(0)
 	co, err := New(cfg)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"boomsim/internal/exp/statkit"
+	"boomsim/internal/stats"
 )
 
 // Verdict values. Order of severity: FAIL > INCONCLUSIVE > PASS — a
@@ -107,13 +108,6 @@ var defaultReportMetrics = []string{
 	"stall_fraction", "l1i_misses_per_ki", "btb_miss_rate",
 	"storage_overhead_kb",
 }
-
-// coverageFloor mirrors the public API's Coverage semantics: when the
-// baseline barely stalls (under this many stall cycles per instruction)
-// coverage is defined as zero rather than a noise-amplified ratio. The
-// cross-check test in the boomsim package pins this constant against
-// boomsim.Coverage.
-const coverageFloor = 0.002
 
 // BuildReport aggregates cells against the spec and evaluates every
 // criterion. schemeNames is the spec's execution-order scheme list
@@ -290,7 +284,9 @@ func (idx cellIndex) sample(spec *Spec, metric string, c Criterion, wl string, p
 		case MetricSpeedup:
 			out = append(out, speedup(idx.baseline(spec, wl, seed, pt), cell))
 		case MetricCoverage:
-			out = append(out, coverage(idx.baseline(spec, wl, seed, pt), cell))
+			base := idx.baseline(spec, wl, seed, pt).Metrics
+			out = append(out, stats.Coverage(base["fetch_stall_cycles"], base["instructions"],
+				cell.Metrics["fetch_stall_cycles"], cell.Metrics["instructions"]))
 		case MetricRecovery:
 			base := idx.baseline(spec, wl, seed, pt)
 			ref := idx[cellKey{c.Reference, wl, seed, pt}]
@@ -311,30 +307,7 @@ func (idx cellIndex) baseline(spec *Spec, wl string, seed uint64, pt Point) *Cel
 }
 
 func speedup(base, cand *Cell) float64 {
-	b := base.Metrics["ipc"]
-	if b == 0 {
-		return 0
-	}
-	return cand.Metrics["ipc"] / b
-}
-
-// coverage mirrors boomsim.Coverage: the fraction of the baseline's
-// per-instruction front-end stall cycles the candidate eliminated, defined
-// as zero when the baseline barely stalls.
-func coverage(base, cand *Cell) float64 {
-	b := stallsPerInstr(base)
-	if b < coverageFloor {
-		return 0
-	}
-	return 1 - stallsPerInstr(cand)/b
-}
-
-func stallsPerInstr(c *Cell) float64 {
-	instrs := c.Metrics["instructions"]
-	if instrs == 0 {
-		return 0
-	}
-	return c.Metrics["fetch_stall_cycles"] / instrs
+	return stats.Speedup(base.Metrics["ipc"], cand.Metrics["ipc"])
 }
 
 // recovery is the fraction of the reference scheme's speedup the candidate

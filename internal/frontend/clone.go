@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"fmt"
+
 	"boomsim/internal/bpu"
 	"boomsim/internal/btb"
 	"boomsim/internal/cache"
@@ -27,9 +29,9 @@ func (e *Engine) MissPolicy() MissHandler { return e.miss }
 
 // Clone returns an independent deep copy of the engine mid-execution: the
 // clone and the original produce identical cycle-by-cycle behaviour from
-// this point while sharing no mutable state. It returns nil when the engine
-// is not clonable — today that means an oracle other than the deterministic
-// program walker (e.g. a trace replayer), whose position cannot be forked.
+// this point while sharing no mutable state. Only an engine driven by the
+// deterministic program walker can be forked; any other oracle (e.g. a trace
+// replayer) has a position Clone cannot copy, and Clone panics.
 //
 // The entry pool is the delicate part: every *Entry in the FTQ, the
 // in-flight window, the freelist and the fetch engine's hands points into
@@ -38,15 +40,12 @@ func (e *Engine) MissPolicy() MissHandler { return e.miss }
 // the simulated configurations, are copied individually through the same
 // map). The immutable image is shared.
 func (e *Engine) Clone(d CloneDeps) *Engine {
-	var orc Oracle
-	switch o := e.orc.(type) {
-	case *program.Walker:
-		orc = o.Clone()
-	default:
-		return nil
+	walker, ok := e.orc.(*program.Walker)
+	if !ok {
+		panic(fmt.Sprintf("frontend: Clone: oracle %T cannot be forked", e.orc))
 	}
 	c := *e
-	c.orc = orc
+	c.orc = walker.Clone()
 	c.hier = d.Hierarchy
 	c.dir = d.Direction
 	c.btbs = d.BTB

@@ -28,7 +28,6 @@ package frontend
 
 import (
 	"boomsim/internal/btb"
-	"boomsim/internal/cache"
 	"boomsim/internal/isa"
 	"boomsim/internal/program"
 )
@@ -92,21 +91,3 @@ type Prefetcher interface {
 	// a skip, a late one breaks cycle accuracy.
 	NextEvent(now int64) int64
 }
-
-// NopPrefetcher is an embeddable no-op implementation of Prefetcher.
-type NopPrefetcher struct{}
-
-// Name implements Prefetcher.
-func (NopPrefetcher) Name() string { return "none" }
-
-// OnDemand implements Prefetcher.
-func (NopPrefetcher) OnDemand(uint64, bool, isa.DiscontinuityClass, int64) {}
-
-// OnRetire implements Prefetcher.
-func (NopPrefetcher) OnRetire(uint64, int64) {}
-
-// Tick implements Prefetcher.
-func (NopPrefetcher) Tick(int64) {}
-
-// NextEvent implements Prefetcher: a no-op Tick never has scheduled work.
-func (NopPrefetcher) NextEvent(int64) int64 { return cache.NoEvent }

@@ -1,6 +1,8 @@
 package scheme
 
 import (
+	"fmt"
+
 	"boomsim/internal/bpu"
 	"boomsim/internal/cache"
 	"boomsim/internal/frontend"
@@ -10,10 +12,10 @@ import (
 // Clone returns an independent deep copy of a built (and possibly warmed)
 // instance: the fork and the original simulate identically from this point
 // while sharing no mutable state, so a fork of a warmed instance is
-// indistinguishable from a fresh warm of the same spec. It returns nil when
-// any component is not clonable (an engine driven by a non-walker oracle, or
-// a component type this package does not know) — callers fall back to
-// building and warming a fresh instance.
+// indistinguishable from a fresh warm of the same spec. Build makes only
+// components Clone knows, so a component type without a case here panics:
+// a new component must say how it is copied, or every fork of it would
+// silently re-warm.
 //
 // Cross-component wiring is re-established on the clones: the Boomerang unit
 // and hierarchical BTB point at the cloned L1 BTB and hierarchy, Confluence's
@@ -24,15 +26,9 @@ func (i *Instance) Clone() *Instance {
 	hier := i.Hier.Clone()
 	b := i.BTB.Clone()
 	dir := cloneDirection(i.Dir)
-	if dir == nil {
-		return nil
-	}
 	c := &Instance{Hier: hier, BTB: b, Dir: dir}
 	if i.PF != nil {
 		c.PF = clonePrefetcher(i.PF, hier)
-		if c.PF == nil {
-			return nil
-		}
 	}
 	var handler frontend.MissHandler
 	switch {
@@ -49,7 +45,7 @@ func (i *Instance) Clone() *Instance {
 		case *PerfectBTB:
 			handler = m // stateless over an immutable image: safe to share
 		default:
-			return nil
+			panic(fmt.Sprintf("scheme: Clone: unknown miss handler %T", m))
 		}
 	}
 	if i.Predec != nil {
@@ -63,9 +59,6 @@ func (i *Instance) Clone() *Instance {
 		MissHandler: handler,
 		Prefetcher:  c.PF,
 	})
-	if c.Engine == nil {
-		return nil
-	}
 	return c
 }
 
@@ -78,7 +71,7 @@ func cloneDirection(d bpu.Direction) bpu.Direction {
 	case *bpu.NeverTaken:
 		return v.Clone()
 	}
-	return nil
+	panic(fmt.Sprintf("scheme: Clone: unknown direction predictor %T", d))
 }
 
 func clonePrefetcher(p frontend.Prefetcher, hier *cache.Hierarchy) frontend.Prefetcher {
@@ -90,5 +83,5 @@ func clonePrefetcher(p frontend.Prefetcher, hier *cache.Hierarchy) frontend.Pref
 	case *prefetch.Temporal:
 		return v.CloneFor(hier)
 	}
-	return nil
+	panic(fmt.Sprintf("scheme: Clone: unknown prefetcher %T", p))
 }

@@ -399,28 +399,3 @@ func MustRun(spec Spec) Result {
 	}
 	return r
 }
-
-// CoverageFromStalls returns the fraction of the baseline's front-end stall
-// cycles the candidate eliminated — the paper's "stall cycles covered"
-// metric. Stall cycles are normalised per retired instruction so windows of
-// different lengths compare fairly. When the baseline barely stalls (e.g. an
-// LLC latency below the pipelined L1-I hit time) there is nothing to cover
-// and the metric is defined as zero rather than a noise-amplified ratio.
-// It is the one definition of the formula — the public boomsim package
-// computes coverage from its own Result type through this function, so the
-// noise floor and normalisation stay calibrated in exactly one place.
-func CoverageFromStalls(baseStalls, baseInstrs, stalls, instrs uint64) float64 {
-	const floor = 0.002 // stall cycles per instruction
-	b := stallsPerInstr(baseStalls, baseInstrs)
-	if b < floor {
-		return 0
-	}
-	return 1 - stallsPerInstr(stalls, instrs)/b
-}
-
-func stallsPerInstr(stalls, instrs uint64) float64 {
-	if instrs == 0 {
-		return 0
-	}
-	return float64(stalls) / float64(instrs)
-}

@@ -7,6 +7,7 @@ import (
 	"boomsim/internal/frontend"
 	"boomsim/internal/program"
 	"boomsim/internal/scheme"
+	"boomsim/internal/stats"
 	"boomsim/internal/workload"
 )
 
@@ -26,8 +27,8 @@ func fastProfile(name string) workload.Profile {
 func speedup(base, r Result) float64 { return r.IPC / base.IPC }
 
 func coverage(base, r Result) float64 {
-	return CoverageFromStalls(base.Stats.FetchStallCycles, base.Stats.RetiredInstrs,
-		r.Stats.FetchStallCycles, r.Stats.RetiredInstrs)
+	return stats.Coverage(float64(base.Stats.FetchStallCycles), float64(base.Stats.RetiredInstrs),
+		float64(r.Stats.FetchStallCycles), float64(r.Stats.RetiredInstrs))
 }
 
 func fastSpec(s scheme.Scheme, w workload.Profile) Spec {

@@ -76,9 +76,9 @@ func warmKeyOf(spec Spec) string {
 // warms the arena's master, the instance the master was cloned from, and
 // for every other run a fork of the memoised master. ok reports whether the
 // arena could serve the request; on ok == false (shared warm failed for a
-// reason other than the caller's own context, or a component was not
-// clonable) the caller falls back to building a private instance. A
-// non-nil err is returned only for the caller's own cancellation.
+// reason other than the caller's own context) the caller falls back to
+// building a private instance. A non-nil err is returned only for the
+// caller's own cancellation.
 func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error, bool) {
 	var warmed *scheme.Instance
 	master, err := warmArena.Do(warmKeyOf(spec), func() (m *scheme.Instance, err error) {
@@ -99,10 +99,7 @@ func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, e
 		return warmed, nil, true
 	}
 	// The master is immutable once warmed, so concurrent forks are safe.
-	if c := master.Clone(); c != nil {
-		return c, nil, true
-	}
-	return nil, nil, false
+	return master.Clone(), nil, true
 }
 
 // warmMaster warms an instance for spec and returns the master the arena
@@ -110,16 +107,11 @@ func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, e
 // of the run that warmed it. The clone lays every occupancy-sized structure
 // out afresh, so the resident master carries none of the holes and append
 // slack the warm window left behind (the BTBs' and tag stores' moved
-// chunks, the temporal history's doubling). An instance that cannot be
-// cloned is returned as the master with no fork; forkWarm then falls back
-// to a private build.
+// chunks, the temporal history's doubling).
 func warmMaster(ctx context.Context, spec Spec, chunk uint64) (master, warmed *scheme.Instance, err error) {
 	inst, err := buildWarm(ctx, spec, chunk)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c := inst.Clone(); c != nil {
-		return c, inst, nil
-	}
-	return inst, nil, nil
+	return inst.Clone(), inst, nil
 }

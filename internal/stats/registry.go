@@ -1,5 +1,7 @@
 // Package stats holds the Registry: the named per-component counters every
-// simulated component publishes and every layer of the stack reports.
+// simulated component publishes and every layer of the stack reports. It
+// also holds the paper's two ratios of a run against its baseline, Speedup
+// and Coverage, which the public API and the experiment engine share.
 // Confidence intervals over repeated runs are computed in one place,
 // internal/exp/statkit.
 package stats

@@ -1,17 +1,19 @@
-// Package store is a disk-backed, content-addressed result store: the
-// durable layer under boomsimd's in-memory LRU. Entries are keyed on a
-// configuration fingerprint (boomsim's Simulation.Fingerprint — lowercase
-// hex SHA-256), so a result written by one process is valid for every
-// process that ever computes the same configuration, and a worker restart
-// starts warm instead of cold.
+// Package store is a disk-backed, content-addressed result store: the one
+// durable format for results. It is the layer under boomsimd's in-memory
+// LRU and the coordinator's sweep journal (boomsim.WithJournal). Entries
+// are keyed on a configuration fingerprint (boomsim's
+// Simulation.Fingerprint — lowercase hex SHA-256), so a result written by
+// one process is valid for every process that ever computes the same
+// configuration: a worker restart starts warm instead of cold, and a
+// worker's store directory resumes a coordinator's sweep.
 //
 // Crash safety is the point, so every entry is an envelope carrying the
 // SHA-256 of its payload, writes are temp-file-plus-rename (never observable
-// half-written under POSIX rename semantics), and every read re-verifies the
-// digest. An entry that fails verification — torn by a crash mid-write, bit
-// rotted, or truncated — is quarantined (moved aside, counted, never served)
-// and reported as a miss so the caller recomputes it. Corrupt bytes cannot
-// reach a caller.
+// half-written under POSIX rename semantics) and synced before Put returns,
+// and every read re-verifies the digest. An entry that fails verification
+// — torn by a crash mid-write, bit rotted, or truncated — is quarantined
+// (moved aside, counted, never served) and reported as a miss so the caller
+// recomputes it. Corrupt bytes cannot reach a caller.
 //
 // The filesystem is reached through the FS interface so the fault-injection
 // harness (internal/chaos) can tear writes and fail operations
@@ -48,18 +50,57 @@ type FS interface {
 	Stat(name string) (os.FileInfo, error)
 }
 
-// OSFS is the real filesystem.
+// OSFS is the real filesystem. Its writes are durable when they return:
+// WriteFile syncs the file, Rename syncs the destination directory, and
+// MkdirAll, when it creates path, syncs path's parent, so a Put that
+// returned survives power loss.
 type OSFS struct{}
 
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (OSFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
-func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
-func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (OSFS) Remove(name string) error                     { return os.Remove(name) }
-func (OSFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
-func (OSFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
+func (OSFS) Rename(oldpath, newpath string) error {
+	if err := os.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(newpath))
+}
+func (OSFS) MkdirAll(path string, perm os.FileMode) error {
+	if info, err := os.Stat(path); err == nil && info.IsDir() {
+		return nil
+	}
+	if err := os.MkdirAll(path, perm); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+func (OSFS) Remove(name string) error                   { return os.Remove(name) }
+func (OSFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (OSFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // envelope is the on-disk entry format: the payload plus enough identity to
 // verify it. Digest covers exactly the payload bytes; Key repeats the
@@ -239,20 +280,27 @@ func (s *Store) quarantine(key string, size int64) {
 }
 
 // Put durably stores payload under key: envelope with digest, temp file,
-// rename. A failed Put leaves no visible entry and is reported in Stats;
-// the caller's in-memory result is unaffected.
+// rename. It returns once the entry survives power loss. A failed Put
+// leaves no visible entry and is reported in Stats; the caller's in-memory
+// result is unaffected. The entry holds payload in canonical form
+// (compact, HTML-escaped JSON, as json.Marshal writes it), which is what
+// Get returns.
 func (s *Store) Put(key string, payload []byte) error {
-	sum := sha256.Sum256(payload)
-	raw, err := json.Marshal(envelope{
-		V:       envelopeVersion,
-		Key:     key,
-		Digest:  hex.EncodeToString(sum[:]),
-		Payload: json.RawMessage(payload),
-	})
+	// Digest the bytes the envelope will hold, not the bytes passed in:
+	// embedding a RawMessage re-encodes it, and Get hashes the file's bytes.
+	canon, err := json.Marshal(json.RawMessage(payload))
 	if err != nil {
 		s.writeErrors.Add(1)
 		return fmt.Errorf("store: encoding %s: %w", key, err)
 	}
+	sum := sha256.Sum256(canon)
+	// canon is valid JSON, so the envelope always encodes.
+	raw, _ := json.Marshal(envelope{
+		V:       envelopeVersion,
+		Key:     key,
+		Digest:  hex.EncodeToString(sum[:]),
+		Payload: canon,
+	})
 	dst := s.path(key)
 	dir := filepath.Dir(dst)
 

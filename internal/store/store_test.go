@@ -47,6 +47,40 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalPayloadsAreNotQuarantined pins that Put digests the
+// bytes it writes: the envelope re-encodes its payload (compacted,
+// HTML-escaped), so a digest of the bytes as passed would fail every Get of
+// a payload json.Marshal would not have written, and the entry would be
+// quarantined on its first read. Get returns the canonical form.
+func TestNonCanonicalPayloadsAreNotQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, store.Options{})
+	cases := []struct{ name, payload, want string }{
+		{"canonical", `{"a":1}`, `{"a":1}`},
+		{"spaced", `{"a": 1}`, `{"a":1}`},
+		{"html", `{"s":"A&B <c>"}`, `{"s":"A\u0026B \u003cc\u003e"}`},
+		{"indented", "{\n  \"ipc\": 1.25,\n  \"scheme\": \"Boomerang\"\n}\n", `{"ipc":1.25,"scheme":"Boomerang"}`},
+	}
+	for i, c := range cases {
+		if err := s.Put(key(i), []byte(c.payload)); err != nil {
+			t.Fatalf("%s: Put: %v", c.name, err)
+		}
+		got, ok := s.Get(key(i))
+		if !ok || string(got) != c.want {
+			t.Errorf("%s: Get = %q, %v; want %q", c.name, got, ok, c.want)
+		}
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.Entries != int64(len(cases)) {
+		t.Errorf("stats = %+v, want %d entries and none quarantined", st, len(cases))
+	}
+	s2 := mustOpen(t, dir, store.Options{})
+	for i, c := range cases {
+		if got, ok := s2.Get(key(i)); !ok || string(got) != c.want {
+			t.Errorf("%s: after reopen Get = %q, %v; want %q", c.name, got, ok, c.want)
+		}
+	}
+}
+
 func TestEntriesSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, store.Options{})

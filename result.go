@@ -3,6 +3,7 @@ package boomsim
 import (
 	"boomsim/internal/frontend"
 	"boomsim/internal/sim"
+	"boomsim/internal/stats"
 )
 
 // Result is one simulation's outcome: plain data, ready for JSON.
@@ -145,21 +146,16 @@ func newResult(r sim.Result, storageKB float64) Result {
 
 // Speedup returns r's performance relative to base (same workload): the
 // ratio of IPCs, the paper's Figures 9/11 metric.
-func Speedup(base, r Result) float64 {
-	if base.IPC == 0 {
-		return 0
-	}
-	return r.IPC / base.IPC
-}
+func Speedup(base, r Result) float64 { return stats.Speedup(base.IPC, r.IPC) }
 
 // Coverage returns the fraction of base's front-end stall cycles that r
 // eliminated — the paper's "stall cycles covered" metric (Figures 2, 5, 8).
 // Stall cycles are normalised per retired instruction so windows of
 // different lengths compare fairly; when the baseline barely stalls the
 // metric is defined as zero rather than a noise-amplified ratio. The
-// experiment engine's coverage metric uses the same formula (a test
-// cross-checks the two), so spec reports and public-API output agree.
+// experiment engine's coverage metric is the same function, so spec
+// reports and public-API output agree.
 func Coverage(base, r Result) float64 {
-	return sim.CoverageFromStalls(base.FetchStallCycles, base.Instructions,
-		r.FetchStallCycles, r.Instructions)
+	return stats.Coverage(float64(base.FetchStallCycles), float64(base.Instructions),
+		float64(r.FetchStallCycles), float64(r.Instructions))
 }
