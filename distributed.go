@@ -245,9 +245,10 @@ func (c *Cluster) RunMatrix(ctx context.Context, sims []*Simulation) ([]Result, 
 func (c *Cluster) Stats() ClusterStats { return c.coord.Stats() }
 
 // MembershipView reports the coordinator's live opinion of its worker pool:
-// one row per tracked endpoint with its circuit-breaker state ("live",
-// "suspect" while a half-open breaker probes, "dead" while open or
-// retired), plus the aggregate counts. Safe during a running sweep.
+// one row per tracked endpoint with its circuit-breaker state ("unprobed"
+// until a health probe answers, "live", "suspect" while a half-open breaker
+// probes, "dead" while open or retired), plus the aggregate counts. Safe
+// during a running sweep.
 func (c *Cluster) MembershipView() ClusterMembershipView { return c.coord.MembershipView() }
 
 // MetricsHandler serves the coordinator's counters in Prometheus text

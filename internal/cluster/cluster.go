@@ -281,13 +281,16 @@ func (c *Coordinator) MembershipView() wire.MembershipView {
 	return c.m.membershipView()
 }
 
-// Worker circuit-breaker states. live: breaker closed, full dispatch.
-// suspect: breaker half-open, one probe batch at a time. dead: breaker
-// open, no dispatch until reopenAt. removed: retired for the run (failed
-// the start-of-sweep probe, or dropped from the membership file) — only a
-// membership re-add revives it.
+// Worker circuit-breaker states. unprobed: registered, but no health probe
+// has answered yet (a sweep answered wholly from its journal never probes);
+// not routable. live: breaker closed, full dispatch. suspect: breaker
+// half-open, one probe batch at a time. dead: breaker open, no dispatch
+// until reopenAt. removed: retired for the run (failed the start-of-sweep
+// probe, or dropped from the membership file) — only a membership re-add
+// revives it.
 const (
-	wsLive int32 = iota
+	wsUnprobed int32 = iota
+	wsLive
 	wsSuspect
 	wsDead
 	wsRemoved
@@ -295,6 +298,8 @@ const (
 
 func stateName(s int32) string {
 	switch s {
+	case wsUnprobed:
+		return "unprobed"
 	case wsLive:
 		return "live"
 	case wsSuspect:
@@ -434,7 +439,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]JobResult, error) 
 		"jobs", len(jobs), "workers", len(endpoints), "trace_id", c.cfg.TraceID)
 	for _, ep := range endpoints {
 		w := &workerState{endpoint: ep, metrics: c.m.worker(ep)}
-		w.setState(wsLive)
+		w.setState(wsUnprobed)
 		st.workers = append(st.workers, w)
 		st.byEP[ep] = w
 	}
@@ -615,6 +620,7 @@ func (st *runState) probe(ctx context.Context) error {
 			w.setState(wsRemoved)
 			st.m.probeFailures.Add(1)
 		} else {
+			w.setState(wsLive)
 			alive++
 		}
 	}

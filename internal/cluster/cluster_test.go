@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -644,6 +645,63 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	if st2 := co2.Stats(); st2.JobsResumed != 12 {
 		t.Errorf("second run JobsResumed = %d, want 12", st2.JobsResumed)
 	}
+}
+
+// TestJournaledSweepLeavesWorkersUnprobed pins the state of a worker no
+// health probe has reached: a sweep answered wholly from its journal never
+// probes the pool, so its one worker, an endpoint nothing listens on, must
+// report "unprobed" — not routable, not alive, and counted apart from live
+// workers — in Stats and in the membership view, before the run and after.
+// Once a probe answers, the worker is live.
+func TestJournaledSweepLeavesWorkersUnprobed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpoint := "http://" + ln.Addr().String()
+	ln.Close()
+
+	jobs := makeJobs(4)
+	journal := mapJournal{}
+	for _, j := range jobs {
+		journal[j.Key] = okResult(j.Key)
+	}
+	co, err := New(Config{Endpoints: []string{endpoint}, Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireState := func(when, want string) {
+		t.Helper()
+		ws := co.Stats().Workers
+		if len(ws) != 1 || ws[0].State != want || ws[0].Alive != (want == "live") {
+			t.Errorf("%s: Stats().Workers = %+v, want one %s worker", when, ws, want)
+		}
+		v := co.MembershipView()
+		if len(v.Workers) != 1 || v.Workers[0].State != want {
+			t.Errorf("%s: membership rows = %+v, want one %s worker", when, v.Workers, want)
+		}
+		if unprobed := want == "unprobed"; (v.Unprobed == 1) != unprobed || (v.Live == 1) == unprobed {
+			t.Errorf("%s: membership counts unprobed %d, live %d; want the worker counted as %s", when, v.Unprobed, v.Live, want)
+		}
+	}
+	requireState("before the run", "unprobed")
+	results, err := co.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatalf("fully journaled sweep failed: %v", err)
+	}
+	checkResults(t, jobs, results)
+	requireState("after a journal-only run", "unprobed")
+
+	w := newFakeWorker(t)
+	co, err = New(testConfig(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireState("before a probed run", "unprobed")
+	if _, err := co.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	requireState("after a probed run", "live")
 }
 
 // failingJournal holds nothing and fails every Put, as a full disk would.

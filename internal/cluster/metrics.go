@@ -87,7 +87,7 @@ func (m *metrics) slowestSnapshot() []CellTiming {
 // workerMetrics is one endpoint's share.
 type workerMetrics struct {
 	endpoint     string
-	state        atomic.Int32 // wsLive/wsSuspect/wsDead/wsRemoved
+	state        atomic.Int32 // wsUnprobed/wsLive/wsSuspect/wsDead/wsRemoved
 	requests     atomic.Uint64
 	failures     atomic.Uint64
 	jobs         atomic.Uint64
@@ -135,9 +135,10 @@ type Stats struct {
 type WorkerStats struct {
 	Endpoint string `json:"endpoint"`
 	Alive    bool   `json:"alive"`
-	// State is the circuit-breaker state: "live", "suspect" (half-open,
-	// probing), "dead" (open, cooling down) or "removed" (retired from the
-	// run). Alive means routable: live or suspect.
+	// State is the circuit-breaker state: "unprobed" (no health probe has
+	// answered yet), "live", "suspect" (half-open, probing), "dead" (open,
+	// cooling down) or "removed" (retired from the run). Alive means
+	// routable: live or suspect.
 	State        string `json:"state"`
 	Requests     uint64 `json:"requests"`
 	Failures     uint64 `json:"failures"`
@@ -173,8 +174,7 @@ func (m *metrics) worker(endpoint string) *workerMetrics {
 			return w
 		}
 	}
-	w := &workerMetrics{endpoint: endpoint}
-	w.state.Store(wsLive)
+	w := &workerMetrics{endpoint: endpoint} // wsUnprobed
 	m.workers = append(m.workers, w)
 	return w
 }
@@ -238,6 +238,8 @@ func (m *metrics) membershipView() wire.MembershipView {
 	for _, ws := range m.workerSnapshot() {
 		state := ws.State
 		switch state {
+		case "unprobed":
+			v.Unprobed++
 		case "live":
 			v.Live++
 		case "suspect":

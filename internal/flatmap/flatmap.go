@@ -1,6 +1,7 @@
 // Package flatmap provides a small open-addressed hash map from uint64 keys
 // to int32 values, built for the simulator's per-cycle lookup structures
-// (MSHR tags, block-start indices). Unlike the built-in map it performs no
+// (the cache hierarchy's MSHR tags, the temporal prefetcher's region index
+// and the two-level BTB's index). Unlike the built-in map it performs no
 // allocation on lookup, insert or delete once grown to its steady-state
 // size, and its iteration-free API keeps the hot path branch-predictable.
 //
@@ -27,22 +28,6 @@ type Map struct {
 	used []bool
 	n    int
 	mask uint64
-}
-
-// New returns a map pre-sized to hold at least hint entries without
-// rehashing.
-func New(hint int) *Map {
-	m := &Map{}
-	m.init(capacityFor(hint))
-	return m
-}
-
-func capacityFor(hint int) int {
-	c := minCapacity
-	for c*maxLoadNum/maxLoadDen < hint {
-		c *= 2
-	}
-	return c
 }
 
 func (m *Map) init(capacity int) {

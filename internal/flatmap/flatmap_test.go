@@ -6,7 +6,7 @@ import (
 )
 
 func TestBasicOps(t *testing.T) {
-	m := New(4)
+	m := &Map{}
 	if _, ok := m.Get(1); ok {
 		t.Fatal("empty map reported a hit")
 	}
@@ -44,7 +44,7 @@ func TestZeroValueUsable(t *testing.T) {
 // churn sequence, exercising growth and backward-shift deletion.
 func TestAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := New(0)
+	m := &Map{}
 	ref := map[uint64]int32{}
 	keys := make([]uint64, 0, 4096)
 	for step := 0; step < 200_000; step++ {
@@ -86,7 +86,7 @@ func TestAgainstReference(t *testing.T) {
 }
 
 func TestSteadyStateNoAllocs(t *testing.T) {
-	m := New(64)
+	m := &Map{}
 	for i := uint64(0); i < 32; i++ {
 		m.Set(i*64, int32(i))
 	}

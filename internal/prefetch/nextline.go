@@ -78,10 +78,11 @@ type DIP struct {
 	Triggered uint64
 }
 
+// dipEntry is one table slot, 16 bytes: key holds the trigger line + 1, so
+// the zero value is an empty slot.
 type dipEntry struct {
-	tag    uint64
+	key    uint64
 	target uint64
-	valid  bool
 }
 
 // NewDIP builds a discontinuity prefetcher with the given table capacity
@@ -110,17 +111,14 @@ func (p *DIP) OnDemand(line uint64, miss bool, class isa.DiscontinuityClass, now
 	if p.havePrv {
 		isDiscontinuity := line != p.prev && line != p.prev+1
 		if isDiscontinuity && miss {
-			e := &p.table[p.prev&p.mask]
-			e.tag = p.prev
-			e.target = line
-			e.valid = true
+			p.table[p.prev&p.mask] = dipEntry{key: p.prev + 1, target: line}
 			p.Trained++
 		}
 	}
 	p.prev = line
 	p.havePrv = true
 
-	if e := &p.table[line&p.mask]; e.valid && e.tag == line {
+	if e := &p.table[line&p.mask]; e.key == line+1 {
 		p.Triggered++
 		p.hier.Prefetch(e.target, now)
 		p.hier.Prefetch(e.target+1, now)

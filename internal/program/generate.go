@@ -2,6 +2,8 @@ package program
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"boomsim/internal/isa"
 	"boomsim/internal/xrand"
@@ -134,8 +136,8 @@ func (p GenParams) Validate() error {
 		return fmt.Errorf("program: FootprintKB must be >= 16")
 	case p.RootBlocks < 4:
 		return fmt.Errorf("program: RootBlocks must be >= 4")
-	case p.DispatchFanout < 1:
-		return fmt.Errorf("program: DispatchFanout must be >= 1")
+	case p.DispatchFanout < 1 || p.DispatchFanout > math.MaxUint16:
+		return fmt.Errorf("program: DispatchFanout must be in [1, %d]", math.MaxUint16)
 	case p.MeanBlockInstrs < 2:
 		return fmt.Errorf("program: MeanBlockInstrs must be >= 2")
 	case p.MeanFuncBlocks < 4:
@@ -151,8 +153,8 @@ func (p GenParams) Validate() error {
 		return fmt.Errorf("program: CondSkipMax must be >= 1")
 	case len(p.BiasMix) == 0:
 		return fmt.Errorf("program: BiasMix must be non-empty")
-	case p.IndFanout < 1:
-		return fmt.Errorf("program: IndFanout must be >= 1")
+	case p.IndFanout < 1 || p.IndFanout > math.MaxUint16:
+		return fmt.Errorf("program: IndFanout must be in [1, %d]", math.MaxUint16)
 	case p.PhaseLen < 1:
 		return fmt.Errorf("program: PhaseLen must be >= 1")
 	case p.DispatchPhase < 1:
@@ -175,6 +177,10 @@ func Generate(p GenParams) (*Image, error) {
 	}
 	g.layout()
 	g.assignTerminators()
+	// Generation grew these by appending; keep only what they hold.
+	g.img.Blocks = slices.Clone(g.img.Blocks)
+	g.img.Functions = slices.Clone(g.img.Functions)
+	g.img.targets = slices.Clone(g.img.targets)
 	g.img.buildIndex()
 	if err := g.img.Validate(); err != nil {
 		return nil, fmt.Errorf("program: generated image invalid: %w", err)
@@ -246,11 +252,7 @@ func (g *generator) addFunction(lay *xrand.Stream, layer, nBlocks int) {
 	}
 	for b := 0; b < nBlocks; b++ {
 		n := g.blockInstrs(lay)
-		g.img.Blocks = append(g.img.Blocks, Block{
-			Addr:   cursor,
-			NInstr: uint16(n),
-			Func:   fi,
-		})
+		g.img.Blocks = append(g.img.Blocks, Block{Addr: cursor, NInstr: uint16(n)})
 		cursor += isa.Addr(n) * isa.InstrBytes
 	}
 	// Align the next function entry to 16 bytes, like real linkers do.
@@ -333,40 +335,42 @@ func (g *generator) makeCall(s *xrand.Stream, fi int32, layer int, blocks []Bloc
 		phase = uint32(g.p.DispatchPhase)
 	}
 	if indirect {
-		targets := g.pickCallees(s, fi, layer, fanout)
-		if len(targets) == 0 {
+		start := len(g.img.targets)
+		g.img.targets = g.pickCallees(g.img.targets, s, fi, layer, fanout)
+		if len(g.img.targets) == start {
 			return g.makeCond(s, blocks, i, last)
 		}
-		return Terminator{
-			Kind:      isa.IndirectCall,
-			Behaviour: BehaviourPhase,
-			Phase:     phase,
-			Targets:   targets,
-		}
+		return g.indirect(&blocks[i], isa.IndirectCall, phase, start)
 	}
-	targets := g.pickCallees(s, fi, layer, 1)
-	if len(targets) == 0 {
+	target, ok := g.pickCallee(s, fi, layer)
+	if !ok {
 		return g.makeCond(s, blocks, i, last)
 	}
-	return Terminator{Kind: isa.CallDirect, Target: targets[0]}
+	return Terminator{Kind: isa.CallDirect, Target: target}
 }
 
-// pickCallees returns up to n distinct callee entry addresses legal for a
-// caller in the given layer.
-func (g *generator) pickCallees(s *xrand.Stream, fi int32, layer, n int) []isa.Addr {
-	seen := make(map[isa.Addr]bool, n)
-	var out []isa.Addr
-	for attempt := 0; attempt < 6*n && len(out) < n; attempt++ {
+// indirect points b at the target pool's entries from start on and returns
+// the terminator of an indirect branch that re-picks among them every
+// period occurrences.
+func (g *generator) indirect(b *Block, kind isa.BranchKind, period uint32, start int) Terminator {
+	b.firstTarget, b.nTargets = uint32(start), uint16(len(g.img.targets)-start)
+	return Terminator{Kind: kind, Behaviour: BehaviourPhase, Period: period}
+}
+
+// pickCallees appends to dst up to n distinct callee entry addresses legal
+// for a caller in the given layer.
+func (g *generator) pickCallees(dst []isa.Addr, s *xrand.Stream, fi int32, layer, n int) []isa.Addr {
+	start := len(dst)
+	for attempt := 0; attempt < 6*n && len(dst)-start < n; attempt++ {
 		target, ok := g.pickCallee(s, fi, layer)
 		if !ok {
 			break
 		}
-		if !seen[target] {
-			seen[target] = true
-			out = append(out, target)
+		if !slices.Contains(dst[start:], target) {
+			dst = append(dst, target)
 		}
 	}
-	return out
+	return dst
 }
 
 func (g *generator) pickCallee(s *xrand.Stream, fi int32, layer int) (isa.Addr, bool) {
@@ -423,17 +427,12 @@ func (g *generator) makeSwitch(s *xrand.Stream, blocks []Block, i, last int) Ter
 	if n < 2 {
 		return g.makeCond(s, blocks, i, last)
 	}
-	targets := make([]isa.Addr, 0, n)
+	start := len(g.img.targets)
 	for k := 0; k < n; k++ {
 		j := s.Range(i+1, last)
-		targets = append(targets, blocks[j].Addr)
+		g.img.targets = append(g.img.targets, blocks[j].Addr)
 	}
-	return Terminator{
-		Kind:      isa.IndirectJump,
-		Behaviour: BehaviourPhase,
-		Phase:     uint32(g.p.PhaseLen),
-		Targets:   targets,
-	}
+	return g.indirect(&blocks[i], isa.IndirectJump, uint32(g.p.PhaseLen), start)
 }
 
 // makeCond emits either a counted loop back-edge or a biased forward skip.
@@ -445,7 +444,7 @@ func (g *generator) makeCond(s *xrand.Stream, blocks []Block, i, last int) Termi
 			Kind:      isa.CondDirect,
 			Target:    blocks[j].Addr,
 			Behaviour: BehaviourLoop,
-			Trip:      uint32(trip),
+			Period:    uint32(trip),
 		}
 	}
 	hi := min(i+1+g.p.CondSkipMax, last)
@@ -459,7 +458,7 @@ func (g *generator) makeCond(s *xrand.Stream, blocks []Block, i, last int) Termi
 		Target:    blocks[j].Addr,
 		Behaviour: BehaviourBias,
 		Bias:      bias,
-		Phase:     phase,
+		Period:    phase,
 	}
 }
 

@@ -13,9 +13,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
-	"boomsim/internal/flatmap"
 	"boomsim/internal/isa"
 )
 
@@ -29,45 +27,50 @@ const (
 	// BehaviourBias makes a conditional branch taken with probability Bias,
 	// decided statelessly per occurrence (replayable).
 	BehaviourBias
-	// BehaviourLoop makes a conditional back-edge taken Trip-1 consecutive
-	// times then not taken (a counted loop). Trip == 0 means always taken.
+	// BehaviourLoop makes a conditional back-edge taken Period-1
+	// consecutive times then not taken (a counted loop of Period trips).
+	// Period == 0 means always taken.
 	BehaviourLoop
-	// BehaviourPhase makes an indirect branch pick among Targets, changing
-	// its choice every Phase occurrences (models request-type dispatch).
+	// BehaviourPhase makes an indirect branch pick among its targets
+	// (Image.Targets), changing its choice every Period occurrences (models
+	// request-type dispatch).
 	BehaviourPhase
 )
 
 // Terminator describes the branch instruction that ends a basic block,
-// including the behavioural parameters the oracle uses to resolve it.
+// including the behavioural parameters the oracle uses to resolve it. An
+// indirect branch's candidate targets live in the image's target pool
+// (Image.Targets), so a terminator stays 24 bytes.
 type Terminator struct {
-	Kind isa.BranchKind
 	// Target is the static (encoded) target for direct branches. Zero for
 	// returns and indirect branches, whose targets are not in the encoding —
 	// exactly the information a predecoder cannot extract.
 	Target isa.Addr
-	// Behaviour and its parameters drive the oracle outcome.
-	Behaviour Behaviour
 	// Bias is the taken probability for BehaviourBias.
 	Bias float64
-	// Trip is the loop trip count for BehaviourLoop.
-	Trip uint32
-	// Phase is the occurrence stride at which BehaviourPhase re-picks its
-	// target; for BehaviourBias, a non-zero Phase makes the direction
-	// stable for runs of Phase occurrences.
-	Phase uint32
-	// Targets lists candidate targets for indirect branches.
-	Targets []isa.Addr
+	// Period is BehaviourLoop's trip count and the occurrence stride at
+	// which BehaviourPhase re-picks its target; for BehaviourBias, a
+	// non-zero Period makes the direction stable for runs of Period
+	// occurrences.
+	Period uint32
+	Kind   isa.BranchKind
+	// Behaviour selects how the oracle resolves the branch.
+	Behaviour Behaviour
 }
 
-// Block is one basic block.
+// Block is one basic block. It is 40 bytes: an image holds hundreds of
+// thousands of them (319,467 for DB2's 5 MB), so its fields are ordered so
+// that nothing pads.
 type Block struct {
 	// Addr is the block's start address (also its identity).
 	Addr isa.Addr
+	Term Terminator
 	// NInstr is the instruction count including the terminator.
 	NInstr uint16
-	// Func indexes the owning function in Image.Functions.
-	Func int32
-	Term Terminator
+	// nTargets and firstTarget locate an indirect terminator's candidate
+	// targets in Image.targets.
+	nTargets    uint16
+	firstTarget uint32
 }
 
 // BranchPC returns the address of the terminating branch instruction.
@@ -102,29 +105,22 @@ type Image struct {
 	// Base and Limit bound the text segment [Base, Limit).
 	Base, Limit isa.Addr
 
-	// byStart maps a block start address to its index in Blocks. It is an
-	// open-addressed table rather than a Go map because the oracle walker
-	// consults it once per executed basic block — one of the simulator's
-	// hottest lookups.
-	byStart flatmap.Map
+	// targets pools every indirect branch's candidate targets; a block
+	// addresses its run by firstTarget and nTargets.
+	targets []isa.Addr
 
 	// lineFirstBlock maps each cache line of the text segment to the index
-	// of the first block whose byte range reaches into or past it (the block
-	// a per-line predecode scan starts from). Precomputing it turns the
-	// binary search at the head of every AppendBranchesInLine /
-	// FirstBranchAtOrAfter call — the hottest predecoder operation — into an
-	// array load.
+	// of the first block whose byte range reaches into or past it. It is
+	// the image's one address index: every lookup by address (the walker's
+	// per-step block lookup, the predecoder's per-line scans, a BTB miss's
+	// pseudo-block) loads the line's entry and scans forward over the few
+	// blocks that end before the address.
 	lineFirstBlock []int32
 }
 
-// buildIndex (re)constructs the exact-start lookup table. Generators call it
-// once after assembling Blocks.
+// buildIndex constructs the per-line index. Generators call it once after
+// assembling Blocks.
 func (img *Image) buildIndex() {
-	img.byStart = *flatmap.New(len(img.Blocks))
-	for i := range img.Blocks {
-		img.byStart.Set(uint64(img.Blocks[i].Addr), int32(i))
-	}
-
 	baseLine := isa.BlockAddr(img.Base)
 	nLines := int((img.Limit - baseLine + isa.BlockBytes - 1) / isa.BlockBytes)
 	img.lineFirstBlock = make([]int32, nLines)
@@ -138,33 +134,39 @@ func (img *Image) buildIndex() {
 	}
 }
 
-// firstBlockForLine returns the index of the first block with
-// FallThrough() > line (line must be cache-line aligned) — identical to the
-// binary search `sort.Search(..., FallThrough() > line)` but O(1) via the
-// precomputed per-line index. Out-of-segment lines resolve the same way the
-// search would: 0 below the text segment, len(Blocks) past it.
-func (img *Image) firstBlockForLine(line isa.Addr) int {
+// search returns the index of the first block that ends past pc: the block
+// containing pc if there is one, else the next block, and len(Blocks) past
+// the last. Below the text segment it returns 0.
+func (img *Image) search(pc isa.Addr) int {
 	baseLine := isa.BlockAddr(img.Base)
-	if line < baseLine {
+	if pc < baseLine {
 		return 0
 	}
-	li := int((line - baseLine) / isa.BlockBytes)
-	if li >= len(img.lineFirstBlock) {
+	li := (pc - baseLine) / isa.BlockBytes
+	if li >= uint64(len(img.lineFirstBlock)) {
 		return len(img.Blocks)
 	}
-	return int(img.lineFirstBlock[li])
+	i := int(img.lineFirstBlock[li])
+	for i < len(img.Blocks) && img.Blocks[i].FallThrough() <= pc {
+		i++
+	}
+	return i
 }
 
 // BlockIndex returns the index in Blocks of the block starting exactly at
 // addr. Callers that need per-block side state (e.g. the walker's occurrence
 // counters) key it by this index instead of by address.
 func (img *Image) BlockIndex(addr isa.Addr) (int32, bool) {
-	return img.byStart.Get(uint64(addr))
+	i := img.search(addr)
+	if i < len(img.Blocks) && img.Blocks[i].Addr == addr {
+		return int32(i), true
+	}
+	return 0, false
 }
 
 // BlockAt returns the block starting exactly at addr.
 func (img *Image) BlockAt(addr isa.Addr) (*Block, bool) {
-	i, ok := img.byStart.Get(uint64(addr))
+	i, ok := img.BlockIndex(addr)
 	if !ok {
 		return nil, false
 	}
@@ -173,21 +175,18 @@ func (img *Image) BlockAt(addr isa.Addr) (*Block, bool) {
 
 // BlockContaining returns the block whose byte range covers pc.
 func (img *Image) BlockContaining(pc isa.Addr) (*Block, bool) {
-	i := sort.Search(len(img.Blocks), func(i int) bool {
-		return img.Blocks[i].Addr > pc
-	}) - 1
-	if i < 0 {
-		return nil, false
-	}
-	b := &img.Blocks[i]
-	if pc >= b.Addr && pc < b.FallThrough() {
-		return b, true
+	i := img.search(pc)
+	if i < len(img.Blocks) && img.Blocks[i].Addr <= pc {
+		return &img.Blocks[i], true
 	}
 	return nil, false
 }
 
-// FunctionOf returns the function owning the block.
-func (img *Image) FunctionOf(b *Block) *Function { return &img.Functions[b.Func] }
+// Targets returns the candidate targets of b's indirect terminator, empty
+// for every other kind. The slice is the image's own storage: read only.
+func (img *Image) Targets(b *Block) []isa.Addr {
+	return img.targets[b.firstTarget : b.firstTarget+uint32(b.nTargets)]
+}
 
 // PredecodedBranch is one branch a predecoder extracts from a cache block:
 // the branch PC plus everything needed to synthesise a basic-block BTB entry
@@ -216,7 +215,7 @@ func (img *Image) AppendBranchesInLine(dst []PredecodedBranch, lineAddr isa.Addr
 	end := line + isa.BlockBytes
 	// Find the first block that could have a branch in the line: the block
 	// containing the line start, or the first block after it.
-	i := img.firstBlockForLine(line)
+	i := img.search(line)
 	for ; i < len(img.Blocks); i++ {
 		b := &img.Blocks[i]
 		if b.Addr >= end {
@@ -250,7 +249,7 @@ func (img *Image) BranchesInLine(lineAddr isa.Addr) []PredecodedBranch {
 func (img *Image) FirstBranchAtOrAfter(pc isa.Addr) (PredecodedBranch, bool) {
 	line := isa.BlockAddr(pc)
 	end := line + isa.BlockBytes
-	i := img.firstBlockForLine(line)
+	i := img.search(line)
 	for ; i < len(img.Blocks); i++ {
 		b := &img.Blocks[i]
 		if b.Addr >= end {
@@ -337,7 +336,7 @@ func (img *Image) Validate() error {
 				return fmt.Errorf("program: block %#x targets %#x which is not a block start", b.Addr, t)
 			}
 		}
-		for _, t := range b.Term.Targets {
+		for _, t := range img.Targets(b) {
 			if _, ok := img.BlockAt(t); !ok {
 				return fmt.Errorf("program: block %#x indirect target %#x is not a block start", b.Addr, t)
 			}

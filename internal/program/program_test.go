@@ -1,6 +1,8 @@
 package program
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +181,13 @@ func TestFirstBranchAtOrAfter(t *testing.T) {
 	}
 }
 
+// functionOf returns the function owning b: the last one whose entry is at
+// or below b's start.
+func functionOf(img *Image, b *Block) *Function {
+	i := sort.Search(len(img.Functions), func(i int) bool { return img.Functions[i].Entry > b.Addr })
+	return &img.Functions[i-1]
+}
+
 func TestCallLayering(t *testing.T) {
 	img := MustGenerate(smallParams(19))
 	for i := range img.Blocks {
@@ -186,8 +195,8 @@ func TestCallLayering(t *testing.T) {
 		if b.Term.Kind != isa.CallDirect && b.Term.Kind != isa.IndirectCall {
 			continue
 		}
-		caller := img.FunctionOf(b)
-		targets := b.Term.Targets
+		caller := functionOf(img, b)
+		targets := img.Targets(b)
 		if b.Term.Kind == isa.CallDirect {
 			targets = []isa.Addr{b.Term.Target}
 		}
@@ -196,7 +205,7 @@ func TestCallLayering(t *testing.T) {
 			if !ok {
 				t.Fatalf("call target %#x not a block", tgt)
 			}
-			callee := img.FunctionOf(cb)
+			callee := functionOf(img, cb)
 			if callee.Entry != tgt {
 				t.Fatalf("call target %#x is not a function entry", tgt)
 			}
@@ -229,8 +238,8 @@ func TestNoRecursionWithinLayer(t *testing.T) {
 		if !b.Term.Kind.IsCall() {
 			continue
 		}
-		caller := img.FunctionOf(b)
-		targets := b.Term.Targets
+		caller := functionOf(img, b)
+		targets := img.Targets(b)
 		if b.Term.Kind == isa.CallDirect {
 			targets = []isa.Addr{b.Term.Target}
 		}
@@ -267,8 +276,8 @@ func TestLoopTripsBounded(t *testing.T) {
 		if b.Term.Behaviour != BehaviourLoop {
 			continue
 		}
-		if b.Term.Trip < 2 || int(b.Term.Trip) > p.LoopTripMax {
-			t.Fatalf("loop trip %d out of [2,%d]", b.Term.Trip, p.LoopTripMax)
+		if b.Term.Period < 2 || int(b.Term.Period) > p.LoopTripMax {
+			t.Fatalf("loop trip %d out of [2,%d]", b.Term.Period, p.LoopTripMax)
 		}
 		if b.Term.Target > b.Addr {
 			t.Fatalf("loop back-edge at %#x targets forward %#x", b.Addr, b.Term.Target)
@@ -318,6 +327,11 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *GenParams) { p.CondSkipMax = 0 },
 		func(p *GenParams) { p.BiasMix = nil },
 		func(p *GenParams) { p.IndFanout = 0 },
+		// A pooled target count is a uint16. The 16 KB image keeps the
+		// case short if the bound goes: its fanouts stop at its few
+		// functions, so Generate would succeed instead of erroring.
+		func(p *GenParams) { p.FootprintKB, p.IndFanout = 16, 1<<16 },
+		func(p *GenParams) { p.FootprintKB, p.DispatchFanout = 16, 1<<16 },
 		func(p *GenParams) { p.PhaseLen = 0 },
 	}
 	for i, mutate := range bad {
@@ -399,5 +413,135 @@ func TestFunctionEntriesAligned(t *testing.T) {
 		if f.Entry%16 != 0 {
 			t.Fatalf("function entry %#x not 16-byte aligned", f.Entry)
 		}
+	}
+}
+
+// FuzzImageLookups checks the per-line index against a reference that
+// binary-searches Blocks, on images of fuzzed shape: BlockIndex, BlockAt,
+// BlockContaining, AppendBranchesInLine and FirstBranchAtOrAfter must agree
+// with it at every block's first and last byte, in the alignment padding
+// after every function, and at fuzzed addresses at block starts, inside
+// blocks, in the padding, below Base, at or past Limit and at the top of the
+// address space. Every indirect block's pooled
+// targets must be block starts, and other blocks must have none.
+func FuzzImageLookups(f *testing.F) {
+	f.Add(uint64(1), uint16(48), uint8(4), uint8(8), uint8(4), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Add(uint64(7), uint16(0), uint8(0), uint8(0), uint8(0), []byte("padding, edges and mid-block bytes"))
+	f.Add(uint64(3), uint16(239), uint8(14), uint8(19), uint8(7), []byte{0xff, 0x80, 0x40, 0x22, 0x13, 0x04, 0xfe, 0xff, 0x40, 0x04, 0xff, 0x00})
+	f.Fuzz(func(t *testing.T, seed uint64, kb uint16, meanInstrs, meanBlocks, layers uint8, picks []byte) {
+		p := DefaultGenParams()
+		p.Seed = seed
+		p.FootprintKB = 16 + int(kb)%240
+		p.MeanBlockInstrs = 2 + int(meanInstrs)%15
+		p.MeanFuncBlocks = 4 + int(meanBlocks)%20
+		p.Layers = 1 + int(layers)%8
+		img, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range img.Blocks {
+			b := &img.Blocks[i]
+			indirect := b.Term.Kind == isa.IndirectJump || b.Term.Kind == isa.IndirectCall
+			if targets := img.Targets(b); indirect != (len(targets) > 0) {
+				t.Fatalf("block %#x (%v) has %d pooled targets", b.Addr, b.Term.Kind, len(targets))
+			}
+			for _, tgt := range img.Targets(b) {
+				if j := refContaining(img, tgt); j < 0 || img.Blocks[j].Addr != tgt {
+					t.Fatalf("block %#x: pooled target %#x is not a block start", b.Addr, tgt)
+				}
+			}
+			checkLookups(t, img, b.Addr)
+			checkLookups(t, img, b.FallThrough()-1)
+		}
+		for fi := range img.Functions {
+			last := &img.Blocks[img.Functions[fi].FirstBlock+img.Functions[fi].NBlocks-1]
+			for pc := last.FallThrough(); pc < nextEntry(img, fi); pc++ {
+				checkLookups(t, img, pc)
+			}
+		}
+		for ; len(picks) >= 3; picks = picks[3:] {
+			n := uint64(picks[1])<<8 | uint64(picks[2])
+			b := &img.Blocks[n%uint64(len(img.Blocks))]
+			var pc isa.Addr
+			switch picks[0] % 5 {
+			case 0: // a block start
+				pc = b.Addr
+			case 1: // any byte inside a block
+				pc = b.Addr + isa.Addr(picks[0]/5)%(b.FallThrough()-b.Addr)
+			case 2: // the padding after a function, or its end when it has none
+				fi := int(n % uint64(len(img.Functions)))
+				last := &img.Blocks[img.Functions[fi].FirstBlock+img.Functions[fi].NBlocks-1]
+				pc = last.FallThrough()
+				if pad := nextEntry(img, fi) - pc; pad > 0 {
+					pc += isa.Addr(picks[0]/5) % pad
+				}
+			case 3: // below Base, down to address 0
+				pc = img.Base - 1 - min(n*uint64(picks[0]), img.Base-1)
+			case 4: // at or past Limit, or within 255 bytes of the top of the address space
+				pc = img.Limit + n*uint64(picks[0])
+				if picks[1] == 0xff {
+					pc = ^isa.Addr(0) - isa.Addr(picks[2])
+				}
+			}
+			checkLookups(t, img, pc)
+		}
+	})
+}
+
+// nextEntry returns the address that follows function fi's padding: the
+// next function's entry, or Limit after the last.
+func nextEntry(img *Image, fi int) isa.Addr {
+	if fi+1 < len(img.Functions) {
+		return img.Functions[fi+1].Entry
+	}
+	return img.Limit
+}
+
+// refContaining binary-searches Blocks for the index of the block covering
+// pc, -1 when none does.
+func refContaining(img *Image, pc isa.Addr) int {
+	i := sort.Search(len(img.Blocks), func(i int) bool { return img.Blocks[i].Addr > pc }) - 1
+	if i >= 0 && pc < img.Blocks[i].FallThrough() {
+		return i
+	}
+	return -1
+}
+
+// checkLookups compares every lookup by address at pc, and the predecode
+// scans of pc's line, with the reference.
+func checkLookups(t *testing.T, img *Image, pc isa.Addr) {
+	t.Helper()
+	ref := refContaining(img, pc)
+	blk, ok := img.BlockContaining(pc)
+	if ok != (ref >= 0) || ok && blk != &img.Blocks[ref] {
+		t.Fatalf("BlockContaining(%#x) = %v, reference block index %d", pc, ok, ref)
+	}
+	start := ref >= 0 && img.Blocks[ref].Addr == pc
+	i, ok := img.BlockIndex(pc)
+	if ok != start || ok && int(i) != ref {
+		t.Fatalf("BlockIndex(%#x) = %d, %v; reference block index %d (start %v)", pc, i, ok, ref, start)
+	}
+	blk, ok = img.BlockAt(pc)
+	if ok != start || ok && blk != &img.Blocks[ref] {
+		t.Fatalf("BlockAt(%#x) = %v, reference block index %d (start %v)", pc, ok, ref, start)
+	}
+
+	line := isa.BlockAddr(pc)
+	end := line + isa.BlockBytes
+	var want []PredecodedBranch
+	for j := sort.Search(len(img.Blocks), func(j int) bool { return img.Blocks[j].FallThrough() > line }); j < len(img.Blocks) && img.Blocks[j].Addr < end; j++ {
+		if b := &img.Blocks[j]; b.BranchPC() >= line && b.BranchPC() < end {
+			want = append(want, PredecodedBranch{PC: b.BranchPC(), BlockStart: b.Addr, NInstr: b.NInstr, Kind: b.Term.Kind, Target: directTarget(&b.Term)})
+		}
+	}
+	if got := img.AppendBranchesInLine(nil, line); !slices.Equal(got, want) {
+		t.Fatalf("AppendBranchesInLine(%#x) = %v, reference %v", line, got, want)
+	}
+	var first PredecodedBranch
+	if j := slices.IndexFunc(want, func(br PredecodedBranch) bool { return br.PC >= pc }); j >= 0 {
+		first = want[j]
+	}
+	if got, ok := img.FirstBranchAtOrAfter(pc); ok != (first.PC != 0) || got != first {
+		t.Fatalf("FirstBranchAtOrAfter(%#x) = %v, %v; reference %v", pc, got, ok, first)
 	}
 }

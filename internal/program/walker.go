@@ -123,11 +123,11 @@ func (w *Walker) resolve(b *Block, pc isa.Addr, occ uint32) (bool, isa.Addr) {
 		return true, w.pop()
 
 	case isa.IndirectJump:
-		return true, w.indirectTarget(t, pc, occ)
+		return true, w.indirectTarget(b, pc, occ)
 
 	case isa.IndirectCall:
 		w.push(b.FallThrough())
-		return true, w.indirectTarget(t, pc, occ)
+		return true, w.indirectTarget(b, pc, occ)
 	}
 	panic(fmt.Sprintf("program: block %#x has invalid terminator", b.Addr))
 }
@@ -135,31 +135,32 @@ func (w *Walker) resolve(b *Block, pc isa.Addr, occ uint32) (bool, isa.Addr) {
 func (w *Walker) condOutcome(t *Terminator, pc isa.Addr, occ uint32) bool {
 	switch t.Behaviour {
 	case BehaviourLoop:
-		if t.Trip == 0 {
+		if t.Period == 0 {
 			return true
 		}
-		return occ%t.Trip != t.Trip-1
+		return occ%t.Period != t.Period-1
 	case BehaviourBias:
 		key := uint64(occ)
-		if t.Phase > 0 {
-			key = uint64(occ) / uint64(t.Phase)
+		if t.Period > 0 {
+			key = uint64(occ) / uint64(t.Period)
 		}
 		return xrand.HashBool(pc, key, w.seed, t.Bias)
 	}
 	panic(fmt.Sprintf("program: conditional at %#x without behaviour", pc))
 }
 
-func (w *Walker) indirectTarget(t *Terminator, pc isa.Addr, occ uint32) isa.Addr {
-	phase := uint64(occ) / uint64(t.Phase)
+func (w *Walker) indirectTarget(b *Block, pc isa.Addr, occ uint32) isa.Addr {
+	targets := w.img.Targets(b)
+	phase := uint64(occ) / uint64(b.Term.Period)
 	// Quadratic skew toward low indices models the hot/cold request mix of
 	// real servers: a few services take most dispatches (and therefore
 	// recur within prefetcher history), the tail stays cold.
 	u := float64(xrand.Hash64(pc, phase, w.seed)>>11) / (1 << 53)
-	idx := int(u * u * float64(len(t.Targets)))
-	if idx >= len(t.Targets) {
-		idx = len(t.Targets) - 1
+	idx := int(u * u * float64(len(targets)))
+	if idx >= len(targets) {
+		idx = len(targets) - 1
 	}
-	return t.Targets[idx]
+	return targets[idx]
 }
 
 func (w *Walker) push(ret isa.Addr) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"boomsim/internal/config"
 	"boomsim/internal/program"
@@ -227,6 +228,7 @@ func TestWarmMasterFootprint(t *testing.T) {
 		{scheme.TwoLevelBTB(), apache, 50_000, 423_144},
 		{scheme.FDIP(), apache, 50_000, 386_552},
 		{scheme.Base(), apache, 50_000, 376_760},
+		{scheme.DIP(), apache, 50_000, 508_136},
 		{scheme.Confluence(), db2, 200_000, 3_896_976},
 		{scheme.Boomerang(), db2, 200_000, 3_593_912},
 	} {
@@ -282,5 +284,49 @@ func TestBTBsAtTheCapsHoldOnlySetArrays(t *testing.T) {
 	if want := uintptr(6*sets) + 1024; got > want {
 		t.Fatalf("the two BTB levels hold %d bytes before any entry is written, want at most %d (6 per set for %d sets, plus 1 KB)",
 			got, want, sets)
+	}
+}
+
+// TestImageFootprint pins what one cached code image costs: a Block's size
+// and the bytes reachable from a DB2 image at its own 5 MB footprint and an
+// Apache image at 512 KB (the size boomsimd's serve-mixed requests use),
+// each bound the measured footprint plus 10%. Every block used to carry an
+// indirect-target slice header and an address hash indexed every block
+// start: 80 bytes a block, 36,055,212 bytes for the DB2 image and 2,347,116
+// for the Apache one.
+func TestImageFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(program.Block{}); got > 40 {
+		t.Errorf("program.Block is %d bytes, want at most 40", got)
+	}
+	apache, ok := workload.ByName("Apache")
+	if !ok {
+		t.Fatal("Apache profile missing")
+	}
+	apache.Gen.FootprintKB = 512
+	db2, ok := workload.ByName("DB2")
+	if !ok {
+		t.Fatal("DB2 profile missing")
+	}
+	for _, c := range []struct {
+		w     workload.Profile
+		bytes uintptr // measured
+	}{
+		{apache, 980_340},
+		{db2, 14_311_508},
+	} {
+		t.Run(c.w.Name, func(t *testing.T) {
+			img, err := c.w.Image(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got uintptr
+			for _, sp := range union(reachable(t, *img)) {
+				got += sp.hi - sp.lo
+			}
+			t.Logf("%s %d KB image: %d blocks, %d bytes", c.w.Name, c.w.Gen.FootprintKB, len(img.Blocks), got)
+			if bound := c.bytes + c.bytes/10; got > bound {
+				t.Fatalf("%s image holds %d bytes, bound %d (measured %d + 10%%)", c.w.Name, got, bound, c.bytes)
+			}
+		})
 	}
 }

@@ -105,7 +105,12 @@ type Result struct {
 // same workload, and image generation is the expensive part. It is bounded
 // because long-running services expose the key's parameters (footprint,
 // image seed) to clients, and an unbounded cache of multi-megabyte images
-// would grow monotonically under a parameter sweep.
+// would grow monotonically under a parameter sweep. An image holds 40 bytes
+// per basic block plus its per-line index and target pool: 14.3 MB for
+// DB2's 5 MB text (36.1 MB while blocks were 80 bytes and an address hash
+// indexed them), 0.98 MB for Apache at 512 KB (2.35 MB). At the 16 MB
+// footprint cap a DB2-shaped image holds 45.8 MB, so 32 entries hold at
+// most ~1.5 GB (3.7 GB before).
 const imageCacheEntries = 32
 
 var images = memo.New[*program.Image](imageCacheEntries)

@@ -166,13 +166,14 @@ type Membership struct {
 
 // MembershipView is the coordinator's live opinion of its pool, served on
 // the coordinator's own /healthz for operators: per-worker circuit state
-// ("live", "suspect" while a reopened breaker probes, "dead" while open)
-// plus the aggregate counts.
+// ("unprobed" until a health probe answers, "live", "suspect" while a
+// reopened breaker probes, "dead" while open) plus the aggregate counts.
 type MembershipView struct {
-	Live    int                `json:"live"`
-	Suspect int                `json:"suspect"`
-	Dead    int                `json:"dead"`
-	Workers []MembershipWorker `json:"workers"`
+	Unprobed int                `json:"unprobed"`
+	Live     int                `json:"live"`
+	Suspect  int                `json:"suspect"`
+	Dead     int                `json:"dead"`
+	Workers  []MembershipWorker `json:"workers"`
 }
 
 // MembershipWorker is one endpoint's row in a MembershipView.

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"boomsim/internal/isa"
@@ -169,7 +173,7 @@ func TestLoopTripsObserved(t *testing.T) {
 		if s.Taken {
 			streak[pc]++
 		} else {
-			if got, want := streak[pc], s.Block.Term.Trip-1; got != want && got != 0 {
+			if got, want := streak[pc], s.Block.Term.Period-1; got != want && got != 0 {
 				// got==0 can happen if we started observing mid-loop.
 				t.Fatalf("loop %#x: streak %d, want %d", pc, got, want)
 			}
@@ -190,7 +194,7 @@ func TestBiasOutcomesMatchBias(t *testing.T) {
 	bias := map[isa.Addr]float64{}
 	for i := 0; i < 300000; i++ {
 		s := w.Next()
-		if s.Block.Term.Behaviour != program.BehaviourBias || s.Block.Term.Phase > 0 {
+		if s.Block.Term.Behaviour != program.BehaviourBias || s.Block.Term.Period > 0 {
 			// Phase-stable branches converge to their bias only over many
 			// phases; check the per-occurrence ones.
 			continue
@@ -356,5 +360,51 @@ func TestSPECLikeProfile(t *testing.T) {
 	// It must not be listed in Table II.
 	if _, ok := ByName("SPEC-like"); ok {
 		t.Fatal("SPEC-like must not be part of the Table II profile list")
+	}
+}
+
+// TestWalkerStreamPinned hashes the first 500K steps (block address,
+// direction, target, entry class) of every built-in profile at its own
+// footprint, image seed 1 and walk seed 1, and compares the digests with
+// ones recorded before the code image changed its in-memory layout. A
+// layout change must leave the oracle's retire stream untouched.
+func TestWalkerStreamPinned(t *testing.T) {
+	want := map[string]string{
+		"Nutch":     "6cc81a8522696fce",
+		"Streaming": "285e978e7d8959f9",
+		"Apache":    "aef2da894dd88218",
+		"Zeus":      "9795b728c1289070",
+		"Oracle":    "feb11b69b4dda96e",
+		"DB2":       "0799615f2fb92070",
+		"SPEC-like": "1f5aba6f6734495c",
+	}
+	var got []string
+	for _, p := range append(append([]Profile(nil), Profiles...), SPECLike()) {
+		img, err := p.Image(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWalker(img, 1)
+		h := fnv.New64a()
+		var rec [18]byte
+		for i := 0; i < 500_000; i++ {
+			s := w.Next()
+			binary.LittleEndian.PutUint64(rec[0:], s.Block.Addr)
+			binary.LittleEndian.PutUint64(rec[8:], s.Target)
+			rec[16] = 0
+			if s.Taken {
+				rec[16] = 1
+			}
+			rec[17] = byte(s.EntryClass)
+			h.Write(rec[:])
+		}
+		d := fmt.Sprintf("%016x", h.Sum64())
+		got = append(got, fmt.Sprintf("%q: %q,", p.Name, d))
+		if want[p.Name] != d {
+			t.Errorf("%s: stream digest %s, want %s", p.Name, d, want[p.Name])
+		}
+	}
+	if t.Failed() {
+		t.Logf("digests:\n%s", strings.Join(got, "\n"))
 	}
 }
