@@ -221,45 +221,119 @@ func TestTAGEDeterminism(t *testing.T) {
 	}
 }
 
-func TestFoldedRegMatchesDirectFold(t *testing.T) {
-	// The incrementally-maintained folded register must equal folding the
-	// full history register directly.
-	f := newFoldedReg(17, 7)
-	var h histReg
-	rng := xrand.New(11)
-	for i := 0; i < 2000; i++ {
-		bit := uint64(0)
-		if rng.Bool(0.5) {
-			bit = 1
-		}
-		old := h.at(f.origLen - 1)
-		f.shift(bit, old)
-		h.shift(bit)
+// histReg and foldedReg are the reference model of TAGE's speculative
+// history: a 192-bit shift register (bit 0 is the newest outcome) and a
+// folded register that carries its own geometry, one per CSR.
+type histReg [3]uint64
 
-		want := directFold(&h, f.origLen, f.bits)
-		if f.val != want {
-			t.Fatalf("step %d: folded=%#x direct=%#x", i, f.val, want)
-		}
-	}
+func (h *histReg) shift(bit uint64) {
+	h[2] = h[2]<<1 | h[1]>>63
+	h[1] = h[1]<<1 | h[0]>>63
+	h[0] = h[0]<<1 | bit
 }
 
-// directFold folds the newest length bits of h into width bits by the same
-// "rotate-by-one per shift" scheme the incremental register implements:
-// history bit i (0 = newest) lands at position (length-1-i+rotations) where
-// the accumulated rotation equals the number of shifts... easiest correct
-// reference: rebuild by replaying shifts.
-func directFold(h *histReg, length, bits int) uint64 {
-	ref := newFoldedReg(length, bits)
-	// Replay from oldest to newest.
-	var empty histReg
-	replay := empty
-	for i := 191; i >= 0; i-- {
-		bit := h.at(i)
-		old := replay.at(length - 1)
-		ref.shift(bit, old)
-		replay.shift(bit)
+// at returns history bit i (0 = newest). i must be < 192.
+func (h *histReg) at(i int) uint64 {
+	return (h[i/64] >> (i % 64)) & 1
+}
+
+type foldedReg struct {
+	val     uint64
+	origLen int // history length being folded
+	bits    int // compressed width
+}
+
+func (f *foldedReg) shift(newBit, oldBit uint64) {
+	f.val = f.val<<1 | newBit
+	f.val ^= oldBit << uint(f.origLen%f.bits)
+	f.val ^= f.val >> f.bits
+	f.val &= 1<<uint(f.bits) - 1
+}
+
+// directFold folds the newest length bits of h into width bits: history
+// bit i (0 = newest) lands at position i mod width, XORed with every other
+// bit that lands there. A folded register shifted one outcome at a time
+// must always hold this value.
+func directFold(h *histReg, length, width int) uint64 {
+	var v uint64
+	for i := 0; i < length; i++ {
+		v ^= h.at(i) << (i % width)
 	}
-	return ref.val
+	return v
+}
+
+// refHist is the reference model's whole speculative state: the raw
+// register and, per table, its index and two tag registers.
+type refHist struct {
+	h    histReg
+	regs [NumTageTables][3]foldedReg
+}
+
+func newRefHist(idxBits int) refHist {
+	var r refHist
+	for i, l := range tageHistLens {
+		r.regs[i] = [3]foldedReg{{origLen: l, bits: idxBits}, {origLen: l, bits: 9}, {origLen: l, bits: 8}}
+	}
+	return r
+}
+
+func (r *refHist) shift(bit uint64) {
+	for i := range r.regs {
+		old := r.h.at(r.regs[i][0].origLen - 1)
+		for j := range r.regs[i] {
+			r.regs[i][j].shift(bit, old)
+		}
+	}
+	r.h.shift(bit)
+}
+
+func TestFoldedRegMatchesDirectFold(t *testing.T) {
+	// TAGE's packed CSRs, shifted in place and rewound by snapshots, must
+	// equal the reference registers, and each reference register must
+	// equal folding the raw history directly, at every table's length and
+	// every register's width.
+	for _, budgetKB := range []int{1, 8, 64} {
+		tg := NewTAGE(budgetKB)
+		ref := newRefHist(int(tg.idxBits))
+		var snaps [4]HistState
+		var refSnaps [4]refHist
+		for k := range snaps {
+			tg.SnapshotInto(&snaps[k])
+			refSnaps[k] = ref
+		}
+		rng := xrand.New(uint64(11 + budgetKB))
+		for step := 0; step < 3000; step++ {
+			k := rng.Intn(len(snaps))
+			switch r := rng.Intn(16); {
+			case r == 0:
+				tg.SnapshotInto(&snaps[k])
+				refSnaps[k] = ref
+			case r == 1:
+				tg.Restore(snaps[k])
+				ref = refSnaps[k]
+			default:
+				taken := rng.Bool(0.5)
+				bit := uint64(0)
+				if taken {
+					bit = 1
+				}
+				tg.Shift(taken)
+				ref.shift(bit)
+			}
+			if tg.spec.h != ref.h {
+				t.Fatalf("%d KB, step %d: history %x, reference %x", budgetKB, step, tg.spec.h, ref.h)
+			}
+			for i := range tageHistLens {
+				got := [3]uint64{tg.spec.idx[i], tg.spec.tg0[i], tg.spec.tg1[i]}
+				for j, f := range ref.regs[i] {
+					if direct := directFold(&ref.h, f.origLen, f.bits); got[j] != f.val || f.val != direct {
+						t.Fatalf("%d KB, step %d, table %d, register %d (%d bits of %d): TAGE %#x, reference %#x, direct fold %#x",
+							budgetKB, step, i, j, f.bits, f.origLen, got[j], f.val, direct)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestRASPushPop(t *testing.T) {
@@ -372,10 +446,13 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 	}
 }
 
+// snapshotSink receives BenchmarkTAGESnapshot's copies: into a local that
+// nothing reads, the compiler drops a one-struct-copy snapshot altogether.
+var snapshotSink HistState
+
 func BenchmarkTAGESnapshot(b *testing.B) {
 	tg := NewTAGE(8)
-	var s HistState
 	for i := 0; i < b.N; i++ {
-		tg.SnapshotInto(&s)
+		tg.SnapshotInto(&snapshotSink)
 	}
 }

@@ -11,7 +11,7 @@ func (t *TAGE) Clone() *TAGE {
 	c := *t
 	c.base = append([]uint8(nil), t.base...)
 	for i := range c.tables {
-		c.tables[i].entries = append([]tageEntry(nil), t.tables[i].entries...)
+		c.tables[i] = append([]tageEntry(nil), t.tables[i]...)
 	}
 	return &c
 }

@@ -20,12 +20,14 @@ const NumTageTables = 4
 
 // HistState is a snapshot of speculative global-history state, sized for the
 // largest predictor (TAGE: 192-bit history plus per-table folded CSRs).
-// Stateless predictors keep it zero.
+// TAGE keeps its live speculative history in one HistState too, so a
+// snapshot and a restore are plain copies. Stateless predictors keep it
+// zero.
 type HistState struct {
-	h   [3]uint64
-	idx [NumTageTables]uint64
-	tg0 [NumTageTables]uint64
-	tg1 [NumTageTables]uint64
+	h   [3]uint64             // raw history; bit 0 of h[0] is the newest outcome
+	idx [NumTageTables]uint64 // per table: its history folded to the index width
+	tg0 [NumTageTables]uint64 // ... folded to the tag width
+	tg1 [NumTageTables]uint64 // ... folded to one bit less than the tag width
 }
 
 // Prediction carries a direction guess plus the provider metadata needed to

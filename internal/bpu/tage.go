@@ -13,16 +13,41 @@ import (
 // Global history is speculative: the decoupled front end shifts a predicted
 // outcome per conditional branch and restores a snapshot on squash. The
 // folded index/tag registers are maintained incrementally per shift, exactly
-// like the hardware circular shift registers, so snapshots are O(1)-sized.
+// like the hardware circular shift registers. The raw 192-bit history and
+// the 12 folded registers (one index and two tag registers per table) live
+// together in spec, in the snapshot's own layout: Shift updates it in place,
+// Predict reads it, and SnapshotInto and Restore are one struct copy each.
 type TAGE struct {
 	base []uint8 // 2-bit counters
 
-	tables [NumTageTables]tageTable
-	hist   histReg
+	tables [NumTageTables][]tageEntry
+	spec   HistState
+
+	// Fold geometry: every table's index register is idxBits wide, and
+	// geom holds where a shift moves each table's bits.
+	idxBits uint
+	geom    [NumTageTables]foldGeom
 
 	lfsr   uint32 // deterministic allocation tie-breaking
 	clock  uint32 // periodic useful-bit aging
 	resets uint32
+}
+
+// Tag widths: a tag is tagBits wide and hashes two folded registers of the
+// history, tagBits and tagBits-1 bits wide (per Seznec's reference
+// implementation).
+const (
+	tagBits  = 9
+	tag1Bits = tagBits - 1
+)
+
+// foldGeom locates, for one table of history length L, history bit L-1 (the
+// bit falling out of the table's window on a shift) in the raw register,
+// and where it re-enters each folded register (L mod its width), so the
+// per-prediction Shift path performs no division.
+type foldGeom struct {
+	oldWord, oldBit            uint8
+	idxWrap, tagWrap, tag1Wrap uint8
 }
 
 type tageEntry struct {
@@ -31,55 +56,15 @@ type tageEntry struct {
 	u   uint8 // 2-bit useful
 }
 
-type tageTable struct {
-	entries []tageEntry
-	histLen int
-	idxBits int
-	tagBits int
-
-	// oldWord/oldBit locate history bit histLen-1 (the bit falling out of
-	// this table's window on a shift), precomputed so the per-prediction
-	// Shift path performs no division.
-	oldWord int
-	oldBit  uint
-
-	// Incrementally folded history (circular shift registers): one for the
-	// index, two for the tag (per Seznec's reference implementation).
-	idxCSR, tagCSR0, tagCSR1 foldedReg
-}
-
-// histReg is a 192-bit speculative global history shift register; bit 0 is
-// the most recent outcome.
-type histReg [3]uint64
-
-func (h *histReg) shift(bit uint64) {
-	h[2] = h[2]<<1 | h[1]>>63
-	h[1] = h[1]<<1 | h[0]>>63
-	h[0] = h[0]<<1 | bit
-}
-
-// at returns history bit i (0 = newest). i must be < 192.
-func (h *histReg) at(i int) uint64 {
-	return (h[i/64] >> (i % 64)) & 1
-}
-
-type foldedReg struct {
-	val     uint64
-	origLen int    // history length being folded
-	bits    int    // compressed width
-	wrap    uint   // origLen % bits, precomputed off the shift path
-	mask    uint64 // 1<<bits - 1, precomputed off the shift path
-}
-
-func newFoldedReg(origLen, bits int) foldedReg {
-	return foldedReg{origLen: origLen, bits: bits, wrap: uint(origLen % bits), mask: 1<<uint(bits) - 1}
-}
-
-func (f *foldedReg) shift(newBit, oldBit uint64) {
-	f.val = f.val<<1 | newBit
-	f.val ^= oldBit << f.wrap
-	f.val ^= f.val >> f.bits
-	f.val &= f.mask
+// fold shifts newBit into the folded register v of the given width and
+// folds oldBit, the bit leaving the window, back out at position wrap.
+// wrap and width are below 64; masking them with 63 tells the compiler so,
+// which drops the guard it emits for longer shifts.
+func fold(v, newBit, oldBit uint64, wrap, width uint) uint64 {
+	v = v<<1 | newBit
+	v ^= oldBit << (wrap & 63)
+	v ^= v >> (width & 63)
+	return v & (1<<(width&63) - 1)
 }
 
 var tageHistLens = [NumTageTables]int{5, 17, 44, 130}
@@ -94,23 +79,19 @@ func NewTAGE(budgetKB int) *TAGE {
 	}
 	baseEntries := 512 * scale
 	tagEntries := 128 * scale
-	t := &TAGE{base: make([]uint8, pow2Floor(baseEntries))}
+	n := pow2Floor(tagEntries)
+	t := &TAGE{base: make([]uint8, pow2Floor(baseEntries)), idxBits: uint(log2(n))}
 	for i := range t.base {
 		t.base[i] = 1
 	}
-	for i := range t.tables {
-		n := pow2Floor(tagEntries)
-		idxBits := log2(n)
-		t.tables[i] = tageTable{
-			entries: make([]tageEntry, n),
-			histLen: tageHistLens[i],
-			idxBits: idxBits,
-			tagBits: 9,
-			oldWord: (tageHistLens[i] - 1) / 64,
-			oldBit:  uint((tageHistLens[i] - 1) % 64),
-			idxCSR:  newFoldedReg(tageHistLens[i], idxBits),
-			tagCSR0: newFoldedReg(tageHistLens[i], 9),
-			tagCSR1: newFoldedReg(tageHistLens[i], 8),
+	for i, l := range tageHistLens {
+		t.tables[i] = make([]tageEntry, n)
+		t.geom[i] = foldGeom{
+			oldWord:  uint8((l - 1) / 64),
+			oldBit:   uint8((l - 1) % 64),
+			idxWrap:  uint8(l % int(t.idxBits)),
+			tagWrap:  uint8(l % tagBits),
+			tag1Wrap: uint8(l % tag1Bits),
 		}
 	}
 	t.lfsr = 0xACE1
@@ -138,14 +119,15 @@ func (t *TAGE) baseIndex(pc isa.Addr) uint32 {
 	return uint32((pc >> 2) & isa.Addr(len(t.base)-1))
 }
 
-func (tb *tageTable) index(pc isa.Addr) uint32 {
-	h := uint64(pc>>2) ^ uint64(pc)>>(uint(tb.idxBits)+2) ^ tb.idxCSR.val
-	return uint32(h & uint64(len(tb.entries)-1))
+// index and tagOf hash pc with table i's folded history.
+func (t *TAGE) index(i int, pc isa.Addr) uint32 {
+	h := uint64(pc>>2) ^ uint64(pc)>>(t.idxBits+2) ^ t.spec.idx[i]
+	return uint32(h & uint64(len(t.tables[i])-1))
 }
 
-func (tb *tageTable) tagOf(pc isa.Addr) uint16 {
-	h := uint64(pc>>2) ^ tb.tagCSR0.val ^ tb.tagCSR1.val<<1
-	return uint16(h & (1<<tb.tagBits - 1))
+func (t *TAGE) tagOf(i int, pc isa.Addr) uint16 {
+	h := uint64(pc>>2) ^ t.spec.tg0[i] ^ t.spec.tg1[i]<<1
+	return uint16(h & (1<<tagBits - 1))
 }
 
 // Predict implements Direction.
@@ -156,14 +138,13 @@ func (t *TAGE) Predict(pc isa.Addr) Prediction {
 	p.Taken = basePred
 	p.altTaken = basePred
 
-	for i := 0; i < NumTageTables; i++ {
-		tb := &t.tables[i]
-		p.idx[i] = tb.index(pc)
-		p.tag[i] = tb.tagOf(pc)
+	for i := range NumTageTables {
+		p.idx[i] = t.index(i, pc)
+		p.tag[i] = t.tagOf(i, pc)
 	}
 	// Longest-history matching component provides; next match is altpred.
 	for i := NumTageTables - 1; i >= 0; i-- {
-		e := &t.tables[i].entries[p.idx[i]]
+		e := &t.tables[i][p.idx[i]]
 		if e.tag != p.tag[i] {
 			continue
 		}
@@ -186,7 +167,7 @@ func (t *TAGE) Predict(pc isa.Addr) Prediction {
 func (t *TAGE) Update(p Prediction, pc isa.Addr, taken bool) {
 	correct := p.Taken == taken
 	if p.provider >= 0 {
-		e := &t.tables[p.provider].entries[p.idx[p.provider]]
+		e := &t.tables[p.provider][p.idx[p.provider]]
 		// Guard against the entry having been replaced since prediction.
 		if e.tag == p.tag[p.provider] {
 			bump3(&e.ctr, taken)
@@ -220,8 +201,8 @@ func (t *TAGE) Update(p Prediction, pc isa.Addr, taken bool) {
 		t.clock = 0
 		t.resets++
 		for i := range t.tables {
-			for j := range t.tables[i].entries {
-				t.tables[i].entries[j].u >>= 1
+			for j := range t.tables[i] {
+				t.tables[i][j].u >>= 1
 			}
 		}
 	}
@@ -236,14 +217,14 @@ func (t *TAGE) allocate(p Prediction, taken bool) {
 	var candidates [NumTageTables]int
 	n := 0
 	for i := start; i < NumTageTables; i++ {
-		if t.tables[i].entries[p.idx[i]].u == 0 {
+		if t.tables[i][p.idx[i]].u == 0 {
 			candidates[n] = i
 			n++
 		}
 	}
 	if n == 0 {
 		for i := start; i < NumTageTables; i++ {
-			e := &t.tables[i].entries[p.idx[i]]
+			e := &t.tables[i][p.idx[i]]
 			if e.u > 0 {
 				e.u--
 			}
@@ -259,7 +240,7 @@ func (t *TAGE) allocate(p Prediction, taken bool) {
 		}
 		pick = candidates[k+1]
 	}
-	e := &t.tables[pick].entries[p.idx[pick]]
+	e := &t.tables[pick][p.idx[pick]]
 	e.tag = p.tag[pick]
 	e.u = 0
 	if taken {
@@ -283,37 +264,26 @@ func (t *TAGE) Shift(taken bool) {
 	if taken {
 		bit = 1
 	}
-	for i := range t.tables {
-		tb := &t.tables[i]
-		old := (t.hist[tb.oldWord] >> tb.oldBit) & 1
-		tb.idxCSR.shift(bit, old)
-		tb.tagCSR0.shift(bit, old)
-		tb.tagCSR1.shift(bit, old)
+	s := &t.spec
+	for i := range t.geom {
+		g := &t.geom[i]
+		old := s.h[g.oldWord] >> (g.oldBit & 63) & 1
+		s.idx[i] = fold(s.idx[i], bit, old, uint(g.idxWrap), t.idxBits)
+		s.tg0[i] = fold(s.tg0[i], bit, old, uint(g.tagWrap), tagBits)
+		s.tg1[i] = fold(s.tg1[i], bit, old, uint(g.tag1Wrap), tag1Bits)
 	}
-	t.hist.shift(bit)
+	s.h[2] = s.h[2]<<1 | s.h[1]>>63
+	s.h[1] = s.h[1]<<1 | s.h[0]>>63
+	s.h[0] = s.h[0]<<1 | bit
 }
 
 // SnapshotInto implements Direction, writing the snapshot in place (the
 // engine captures one per FTQ entry; writing straight into the entry avoids
-// copying the 88-byte state through a temporary).
-func (t *TAGE) SnapshotInto(s *HistState) {
-	s.h = t.hist
-	for i := range t.tables {
-		s.idx[i] = t.tables[i].idxCSR.val
-		s.tg0[i] = t.tables[i].tagCSR0.val
-		s.tg1[i] = t.tables[i].tagCSR1.val
-	}
-}
+// copying the state through a temporary).
+func (t *TAGE) SnapshotInto(s *HistState) { *s = t.spec }
 
 // Restore implements Direction.
-func (t *TAGE) Restore(s HistState) {
-	t.hist = s.h
-	for i := range t.tables {
-		t.tables[i].idxCSR.val = s.idx[i]
-		t.tables[i].tagCSR0.val = s.tg0[i]
-		t.tables[i].tagCSR1.val = s.tg1[i]
-	}
-}
+func (t *TAGE) Restore(s HistState) { t.spec = s }
 
 // Name implements Direction.
 func (t *TAGE) Name() string { return "tage" }
@@ -322,8 +292,7 @@ func (t *TAGE) Name() string { return "tage" }
 func (t *TAGE) StorageBits() int {
 	bits := 2 * len(t.base)
 	for i := range t.tables {
-		perEntry := t.tables[i].tagBits + 3 + 2
-		bits += perEntry * len(t.tables[i].entries)
+		bits += (tagBits + 3 + 2) * len(t.tables[i])
 	}
 	return bits
 }

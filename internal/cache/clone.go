@@ -17,7 +17,8 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	c := *h
 	c.l1 = h.l1.Clone()
 	c.llc = h.llc.Clone()
-	c.pbuf = append(make([]pbufEntry, 0, cap(h.pbuf)), h.pbuf...)
+	c.pbuf = append([]pbufSlot(nil), h.pbuf...)
+	c.pbufIdx = h.pbufIdx.Clone()
 	c.mshrSlab = append(make([]mshr, 0, cap(h.mshrSlab)), h.mshrSlab...)
 	c.mshrFree = append(make([]int32, 0, cap(h.mshrFree)), h.mshrFree...)
 	c.mshrs = h.mshrs.Clone()

@@ -68,11 +68,13 @@ type mshr struct {
 	demand  bool // at least one demand is waiting on this fill
 }
 
-// pbufEntry is one prefetch-buffer slot.
-type pbufEntry struct {
-	line  Line
-	seq   uint64 // FIFO order
-	ready int64
+// pbufSlot is one prefetch-buffer slot. A buffered line's slot sits in the
+// buffer's FIFO, linked from oldest to newest by prev and next; a free
+// slot sits on the free list, linked by next. -1 ends either list.
+type pbufSlot struct {
+	line       Line
+	ready      int64
+	prev, next int32
 }
 
 // Hierarchy is one core's instruction-supply path: L1-I + prefetch buffer +
@@ -81,15 +83,26 @@ type pbufEntry struct {
 // interconnect model.
 //
 // MSHRs live in a preallocated slab indexed by an open-addressed line table
-// and ordered by a manual index min-heap, so the per-cycle path (Tick,
-// Demand, Prefetch, Fetch) performs no heap allocation at steady state.
+// and ordered by a manual index min-heap. The prefetch buffer's slots are
+// allocated once, indexed by line the same way and kept in FIFO order by an
+// intrusive list, so finding, inserting, evicting the oldest and removing a
+// line are O(1). A line is never buffered twice: Prefetch and Fetch check
+// the buffer and the MSHRs before they issue, and Demand upgrades an
+// in-flight prefetch rather than issuing a second fill. The per-cycle path
+// (Tick, Demand, Prefetch, Fetch) performs no heap allocation at steady
+// state.
 type Hierarchy struct {
 	cfg config.Core
 
-	l1   *SetAssoc
-	llc  *SetAssoc
-	pbuf []pbufEntry
-	pseq uint64
+	l1  *SetAssoc
+	llc *SetAssoc
+
+	// pbuf holds the prefetch buffer's PrefetchBufEntries slots. pbufIdx
+	// maps a buffered line to its slot; pbufHead and pbufTail are the
+	// oldest and newest buffered slots and pbufFree the first free one.
+	pbuf                         []pbufSlot
+	pbufIdx                      flatmap.Map
+	pbufHead, pbufTail, pbufFree int32
 
 	// mshrSlab backs every MSHR; free lists recycled indices. mshrs maps a
 	// line to its slab index; pending is a min-heap of slab indices ordered
@@ -127,10 +140,17 @@ func NewHierarchy(cfg config.Core, llcReservedKB int) *Hierarchy {
 		cfg:      cfg,
 		l1:       NewSetAssoc(cfg.L1ISizeKB, cfg.L1IAssoc),
 		llc:      NewSetAssoc(llcKB, cfg.LLCAssoc),
-		pbuf:     make([]pbufEntry, 0, cfg.PrefetchBufEntries),
+		pbuf:     make([]pbufSlot, cfg.PrefetchBufEntries),
+		pbufHead: -1,
+		pbufTail: -1,
+		pbufFree: -1,
 		mshrSlab: make([]mshr, 0, cfg.MSHREntries+8),
 		mshrFree: make([]int32, 0, cfg.MSHREntries+8),
 		pending:  make([]int32, 0, cfg.MSHREntries+8),
+	}
+	for i := len(h.pbuf) - 1; i >= 0; i-- {
+		h.pbuf[i].next = h.pbufFree
+		h.pbufFree = int32(i)
 	}
 	return h
 }
@@ -205,7 +225,7 @@ func (h *Hierarchy) Fetch(line Line, now int64) int64 {
 	if h.l1.Contains(line) {
 		return now + int64(h.cfg.L1ILatency)
 	}
-	if i := h.pbufFind(line); i >= 0 {
+	if i, ok := h.pbufIdx.Get(line); ok {
 		r := h.pbuf[i].ready
 		if r < now+int64(h.cfg.L1ILatency) {
 			r = now + int64(h.cfg.L1ILatency)
@@ -228,10 +248,8 @@ func (h *Hierarchy) Present(line Line, now int64) bool {
 	if h.l1.Contains(line) {
 		return true
 	}
-	if i := h.pbufFind(line); i >= 0 && h.pbuf[i].ready <= now {
-		return true
-	}
-	return false
+	i, ok := h.pbufIdx.Get(line)
+	return ok && h.pbuf[i].ready <= now
 }
 
 // InFlight reports whether a fill for the line is outstanding.
@@ -251,7 +269,7 @@ func (h *Hierarchy) Demand(line Line, now int64) (readyAt int64, src Level) {
 		h.stats.DemandL1Hits++
 		return now + lat, HitL1
 	}
-	if i := h.pbufFind(line); i >= 0 && h.pbuf[i].ready <= now {
+	if i, ok := h.pbufIdx.Get(line); ok && h.pbuf[i].ready <= now {
 		h.stats.DemandPFBHits++
 		h.pbufRemove(i)
 		h.l1.Insert(line, now)
@@ -279,7 +297,10 @@ func (h *Hierarchy) Demand(line Line, now int64) (readyAt int64, src Level) {
 // Prefetch requests the line into the prefetch buffer. It returns false when
 // no request was issued (already present, in flight, or MSHRs exhausted).
 func (h *Hierarchy) Prefetch(line Line, now int64) bool {
-	if h.l1.Contains(line) || h.pbufFind(line) >= 0 || h.InFlight(line) {
+	if h.l1.Contains(line) {
+		return false
+	}
+	if _, ok := h.pbufIdx.Get(line); ok || h.InFlight(line) {
 		return false
 	}
 	if h.mshrs.Len() >= h.cfg.MSHREntries {
@@ -376,40 +397,48 @@ func (h *Hierarchy) heapPop() int32 {
 	return top
 }
 
-func (h *Hierarchy) pbufFind(line Line) int {
-	for i := range h.pbuf {
-		if h.pbuf[i].line == line {
-			return i
-		}
-	}
-	return -1
-}
-
+// pbufInsert appends line to the prefetch buffer as its newest entry,
+// evicting the oldest when every slot is taken.
 func (h *Hierarchy) pbufInsert(line Line, ready int64) {
-	if h.cfg.PrefetchBufEntries == 0 {
+	if len(h.pbuf) == 0 {
 		// No prefetch buffer configured: fill straight into the L1.
 		h.l1.Insert(line, ready)
 		return
 	}
-	if len(h.pbuf) >= h.cfg.PrefetchBufEntries {
-		// FIFO eviction of the oldest entry.
-		oldest := 0
-		for i := range h.pbuf {
-			if h.pbuf[i].seq < h.pbuf[oldest].seq {
-				oldest = i
-			}
-		}
-		h.pbufRemove(oldest)
+	if h.pbufFree < 0 {
+		h.pbufRemove(h.pbufHead)
 		h.stats.PFBEvictions++
 		h.stats.UselessPrefetch++
 	}
-	h.pseq++
-	h.pbuf = append(h.pbuf, pbufEntry{line: line, seq: h.pseq, ready: ready})
+	i := h.pbufFree
+	s := &h.pbuf[i]
+	h.pbufFree = s.next
+	*s = pbufSlot{line: line, ready: ready, prev: h.pbufTail, next: -1}
+	if h.pbufTail >= 0 {
+		h.pbuf[h.pbufTail].next = i
+	} else {
+		h.pbufHead = i
+	}
+	h.pbufTail = i
+	h.pbufIdx.Set(line, i)
 }
 
-func (h *Hierarchy) pbufRemove(i int) {
-	h.pbuf[i] = h.pbuf[len(h.pbuf)-1]
-	h.pbuf = h.pbuf[:len(h.pbuf)-1]
+// pbufRemove unlinks slot i from the FIFO and the index and frees it.
+func (h *Hierarchy) pbufRemove(i int32) {
+	s := &h.pbuf[i]
+	if s.prev >= 0 {
+		h.pbuf[s.prev].next = s.next
+	} else {
+		h.pbufHead = s.next
+	}
+	if s.next >= 0 {
+		h.pbuf[s.next].prev = s.prev
+	} else {
+		h.pbufTail = s.prev
+	}
+	h.pbufIdx.Delete(s.line)
+	s.next = h.pbufFree
+	h.pbufFree = i
 }
 
 // WarmLLC preloads lines into the LLC at cycle 0 (checkpoint-style warmup,

@@ -1,9 +1,10 @@
 // Package flatmap provides a small open-addressed hash map from uint64 keys
 // to int32 values, built for the simulator's per-cycle lookup structures
-// (the cache hierarchy's MSHR tags, the temporal prefetcher's region index
-// and the two-level BTB's index). Unlike the built-in map it performs no
-// allocation on lookup, insert or delete once grown to its steady-state
-// size, and its iteration-free API keeps the hot path branch-predictable.
+// (the cache hierarchy's MSHR tags and prefetch-buffer index, the temporal
+// prefetcher's region index and the two-level BTB's index). Unlike the
+// built-in map it performs no allocation on lookup, insert or delete once
+// grown to its steady-state size, and its iteration-free API keeps the hot
+// path branch-predictable.
 //
 // The table uses linear probing with backward-shift deletion (no
 // tombstones), so probe sequences stay short regardless of churn — exactly

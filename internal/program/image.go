@@ -236,40 +236,6 @@ func (img *Image) AppendBranchesInLine(dst []PredecodedBranch, lineAddr isa.Addr
 	return dst
 }
 
-// BranchesInLine is AppendBranchesInLine into a fresh slice.
-func (img *Image) BranchesInLine(lineAddr isa.Addr) []PredecodedBranch {
-	return img.AppendBranchesInLine(nil, lineAddr)
-}
-
-// FirstBranchAtOrAfter returns the first branch with PC >= pc inside pc's
-// cache line. Boomerang's BTB-miss resolution uses this: starting from the
-// missing entry's start address, scan the fetched line for the terminating
-// branch; if the line holds none at or after pc, the caller probes the next
-// sequential line.
-func (img *Image) FirstBranchAtOrAfter(pc isa.Addr) (PredecodedBranch, bool) {
-	line := isa.BlockAddr(pc)
-	end := line + isa.BlockBytes
-	i := img.search(line)
-	for ; i < len(img.Blocks); i++ {
-		b := &img.Blocks[i]
-		if b.Addr >= end {
-			break
-		}
-		bpc := b.BranchPC()
-		if bpc < pc || bpc >= end {
-			continue
-		}
-		return PredecodedBranch{
-			PC:         bpc,
-			BlockStart: b.Addr,
-			NInstr:     b.NInstr,
-			Kind:       b.Term.Kind,
-			Target:     directTarget(&b.Term),
-		}, true
-	}
-	return PredecodedBranch{}, false
-}
-
 func directTarget(t *Terminator) isa.Addr {
 	if t.Kind == isa.CondDirect || t.Kind == isa.UncondDirect || t.Kind == isa.CallDirect {
 		return t.Target

@@ -111,7 +111,7 @@ func TestBranchesInLineComplete(t *testing.T) {
 		b := &img.Blocks[i]
 		line := isa.BlockAddr(b.BranchPC())
 		found := false
-		for _, br := range img.BranchesInLine(line) {
+		for _, br := range img.AppendBranchesInLine(nil, line) {
 			if br.PC == b.BranchPC() {
 				found = true
 				if br.BlockStart != b.Addr || br.NInstr != b.NInstr || br.Kind != b.Term.Kind {
@@ -128,7 +128,7 @@ func TestBranchesInLineComplete(t *testing.T) {
 func TestBranchesInLineOrderedAndBounded(t *testing.T) {
 	img := MustGenerate(smallParams(13))
 	for line := isa.BlockAddr(img.Base); line < img.Limit; line += isa.BlockBytes {
-		brs := img.BranchesInLine(line)
+		brs := img.AppendBranchesInLine(nil, line)
 		for i, br := range brs {
 			if br.PC < line || br.PC >= line+isa.BlockBytes {
 				t.Fatalf("branch %#x outside its line %#x", br.PC, line)
@@ -149,35 +149,17 @@ func TestPredecodeHidesIndirectTargets(t *testing.T) {
 			continue
 		}
 		sawIndirect = true
-		br, ok := img.FirstBranchAtOrAfter(b.BranchPC())
-		if !ok || br.PC != b.BranchPC() {
-			t.Fatalf("FirstBranchAtOrAfter missed terminator of %#x", b.Addr)
+		brs := img.AppendBranchesInLine(nil, b.BranchPC())
+		j := slices.IndexFunc(brs, func(br PredecodedBranch) bool { return br.PC == b.BranchPC() })
+		if j < 0 {
+			t.Fatalf("predecode missed terminator of %#x", b.Addr)
 		}
-		if br.Target != 0 {
+		if br := brs[j]; br.Target != 0 {
 			t.Fatalf("predecode leaked an indirect target at %#x", br.PC)
 		}
 	}
 	if !sawIndirect {
 		t.Skip("no indirect branches generated at this size")
-	}
-}
-
-func TestFirstBranchAtOrAfter(t *testing.T) {
-	img := MustGenerate(smallParams(17))
-	for i := range img.Blocks {
-		b := &img.Blocks[i]
-		br, ok := img.FirstBranchAtOrAfter(b.Addr)
-		if isa.BlockAddr(b.Addr) != isa.BlockAddr(b.BranchPC()) {
-			// The terminator is in a later line; the query may legitimately
-			// return a different (earlier-in-line) result or nothing.
-			continue
-		}
-		if !ok {
-			t.Fatalf("no branch found at/after %#x within its line", b.Addr)
-		}
-		if br.PC < b.Addr {
-			t.Fatalf("branch %#x precedes query %#x", br.PC, b.Addr)
-		}
 	}
 }
 
@@ -365,13 +347,14 @@ func BenchmarkGenerate2MB(b *testing.B) {
 	}
 }
 
-func BenchmarkBranchesInLine(b *testing.B) {
+func BenchmarkAppendBranchesInLine(b *testing.B) {
 	img := MustGenerate(smallParams(33))
 	lines := int((img.Limit - img.Base) / isa.BlockBytes)
+	var buf []PredecodedBranch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := img.Base + isa.Addr(i%lines)*isa.BlockBytes
-		_ = img.BranchesInLine(line)
+		buf = img.AppendBranchesInLine(buf[:0], line)
 	}
 }
 
@@ -418,12 +401,12 @@ func TestFunctionEntriesAligned(t *testing.T) {
 
 // FuzzImageLookups checks the per-line index against a reference that
 // binary-searches Blocks, on images of fuzzed shape: BlockIndex, BlockAt,
-// BlockContaining, AppendBranchesInLine and FirstBranchAtOrAfter must agree
-// with it at every block's first and last byte, in the alignment padding
-// after every function, and at fuzzed addresses at block starts, inside
-// blocks, in the padding, below Base, at or past Limit and at the top of the
-// address space. Every indirect block's pooled
-// targets must be block starts, and other blocks must have none.
+// BlockContaining and AppendBranchesInLine must agree with it at every
+// block's first and last byte, in the alignment padding after every
+// function, and at fuzzed addresses at block starts, inside blocks, in the
+// padding, below Base, at or past Limit and at the top of the address
+// space. Every indirect block's pooled targets must be block starts, and
+// other blocks must have none.
 func FuzzImageLookups(f *testing.F) {
 	f.Add(uint64(1), uint16(48), uint8(4), uint8(8), uint8(4), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
 	f.Add(uint64(7), uint16(0), uint8(0), uint8(0), uint8(0), []byte("padding, edges and mid-block bytes"))
@@ -508,7 +491,7 @@ func refContaining(img *Image, pc isa.Addr) int {
 }
 
 // checkLookups compares every lookup by address at pc, and the predecode
-// scans of pc's line, with the reference.
+// scan of pc's line, with the reference.
 func checkLookups(t *testing.T, img *Image, pc isa.Addr) {
 	t.Helper()
 	ref := refContaining(img, pc)
@@ -536,12 +519,5 @@ func checkLookups(t *testing.T, img *Image, pc isa.Addr) {
 	}
 	if got := img.AppendBranchesInLine(nil, line); !slices.Equal(got, want) {
 		t.Fatalf("AppendBranchesInLine(%#x) = %v, reference %v", line, got, want)
-	}
-	var first PredecodedBranch
-	if j := slices.IndexFunc(want, func(br PredecodedBranch) bool { return br.PC >= pc }); j >= 0 {
-		first = want[j]
-	}
-	if got, ok := img.FirstBranchAtOrAfter(pc); ok != (first.PC != 0) || got != first {
-		t.Fatalf("FirstBranchAtOrAfter(%#x) = %v, %v; reference %v", pc, got, ok, first)
 	}
 }

@@ -90,18 +90,6 @@ func (w *Walker) Next() Step {
 	return step
 }
 
-// Resolve computes a terminator outcome without advancing the walker. It is
-// exported so timing models can ask "what would this branch do" when they
-// need resolution information out of band (e.g. training on wrong-path
-// discovery); it uses the occurrence count the next Next() call will see.
-func (w *Walker) Resolve(b *Block) (taken bool, target isa.Addr) {
-	var occ uint32
-	if bi, ok := w.img.BlockIndex(b.Addr); ok {
-		occ = w.occ[bi]
-	}
-	return w.resolve(b, b.BranchPC(), occ)
-}
-
 func (w *Walker) resolve(b *Block, pc isa.Addr, occ uint32) (bool, isa.Addr) {
 	t := &b.Term
 	switch t.Kind {

@@ -305,28 +305,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestResolveMatchesNext(t *testing.T) {
-	img := testImage(t, 19)
-	w := NewWalker(img, 21)
-	for i := 0; i < 20000; i++ {
-		b, ok := img.BlockAt(w.PC())
-		if !ok {
-			t.Fatal("walker off block start")
-		}
-		// Resolve must not mutate walker state for conditionals; for calls
-		// it pushes, so only compare on conditionals.
-		if b.Term.Kind == isa.CondDirect {
-			taken, target := w.Resolve(b)
-			s := w.Next()
-			if s.Taken != taken || s.Target != target {
-				t.Fatalf("Resolve diverged from Next at step %d", i)
-			}
-		} else {
-			w.Next()
-		}
-	}
-}
-
 func BenchmarkWalker(b *testing.B) {
 	g := program.DefaultGenParams()
 	g.FootprintKB = 512
