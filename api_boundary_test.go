@@ -17,10 +17,11 @@ import (
 // cmd/, the programs in examples/, the boomsimd service layer in
 // internal/server and the cluster coordinator in internal/cluster must
 // consume the simulator through the public boomsim package, never by
-// reaching into the internal simulation layers. Lower-level plumbing
-// packages (trace, program, frontend, ...) stay importable for tools that
-// genuinely drive hand-built engines; the three banned packages are the
-// ones the public API wraps.
+// reaching into the internal simulation layers. Lower-level packages
+// (program, isa, ...) stay importable for tools that inspect the workload
+// substrate directly, such as boomtrace; the three banned packages are the
+// ones the public API wraps. The examples show the public API alone, so
+// they may import no internal package at all.
 func TestConsumersUseOnlyThePublicAPI(t *testing.T) {
 	banned := []string{
 		"boomsim/internal/sim",
@@ -43,6 +44,10 @@ func TestConsumersUseOnlyThePublicAPI(t *testing.T) {
 			for _, imp := range f.Imports {
 				ip, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {
+					continue
+				}
+				if root == "examples" && strings.HasPrefix(ip, "boomsim/internal/") {
+					t.Errorf("%s imports %s; examples use only the public boomsim package", path, ip)
 					continue
 				}
 				for _, b := range banned {

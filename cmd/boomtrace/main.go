@@ -1,27 +1,22 @@
-// Command boomtrace inspects and records the workload substrate: static
-// code-image statistics, dynamic execution properties (the quantities the
-// profiles are calibrated against), and compact control-flow traces that can
-// be replayed into the simulator.
+// Command boomtrace inspects the workload substrate: static code-image
+// statistics and dynamic execution properties (the quantities the profiles
+// are calibrated against).
 //
 // Examples:
 //
 //	boomtrace -workload DB2 -info
 //	boomtrace -workload Apache -dynamic -steps 500000   # Figure 4 CDF
-//	boomtrace -workload Zeus -record zeus.trc -steps 2000000
-//	boomtrace -workload Zeus -verify zeus.trc
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 
 	"boomsim"
 	"boomsim/internal/isa"
 	"boomsim/internal/program"
-	"boomsim/internal/trace"
 )
 
 func main() {
@@ -32,8 +27,6 @@ func main() {
 		steps   = flag.Uint64("steps", 200_000, "basic blocks to execute")
 		info    = flag.Bool("info", false, "print static image statistics")
 		dynamic = flag.Bool("dynamic", false, "print dynamic execution statistics")
-		record  = flag.String("record", "", "record a trace to this file")
-		verify  = flag.String("verify", "", "verify a trace file replays against this workload")
 	)
 	flag.Parse()
 
@@ -82,54 +75,8 @@ func main() {
 		fmt.Printf(" (Figure 4, blocks)\n")
 	}
 
-	if *record != "" {
-		ran = true
-		f, err := os.Create(*record)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		n, err := trace.Record(img, *walk, *steps, f)
-		if err2 := f.Close(); err == nil {
-			err = err2
-		}
-		if err != nil {
-			fatalf("record: %v", err)
-		}
-		fi, _ := os.Stat(*record)
-		fmt.Printf("recorded %d blocks to %s (%.2f bytes/block)\n",
-			n, *record, float64(fi.Size())/float64(n))
-	}
-
-	if *verify != "" {
-		ran = true
-		f, err := os.Open(*verify)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f, img)
-		if err != nil {
-			fatalf("verify: %v", err)
-		}
-		wk := program.NewWalker(img, *walk)
-		for {
-			got, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fatalf("verify: %v", err)
-			}
-			want := wk.Next()
-			if got.Block != want.Block || got.Taken != want.Taken || got.Target != want.Target {
-				fatalf("verify: divergence at block %d", r.Count())
-			}
-		}
-		fmt.Printf("trace verified: %d blocks match walk seed %d\n", r.Count(), *walk)
-	}
-
 	if !ran {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -info, -dynamic, -record or -verify")
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -info or -dynamic")
 		flag.Usage()
 		os.Exit(2)
 	}

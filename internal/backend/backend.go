@@ -75,7 +75,13 @@ func New(cfg config.Core) *Backend {
 	for capacity < cfg.ROBSize+2 {
 		capacity *= 2
 	}
-	return &Backend{cfg: cfg, win: make([]inflight, capacity), mask: capacity - 1}
+	return &Backend{
+		cfg:  cfg,
+		win:  make([]inflight, capacity),
+		mask: capacity - 1,
+		// One FastRetire call retires at most the whole window.
+		fastRetired: make([]RetiredEvent, 0, capacity),
+	}
 }
 
 // at returns the i-th window element in fetch order (0 = oldest).

@@ -206,6 +206,41 @@ func TestPrefetchDedup(t *testing.T) {
 	}
 }
 
+// TestPrefetchOfHeldLineIsANoOp pins what lets the FDIP probe call Prefetch
+// without asking Present or InFlight first: for a line in the L1-I, in the
+// prefetch buffer (ready or not yet) or behind an MSHR, Prefetch issues
+// nothing and changes no counter.
+func TestPrefetchOfHeldLineIsANoOp(t *testing.T) {
+	cfg := testCfg()
+	h := NewHierarchy(cfg, 0)
+	fill := int64(cfg.LLCLatency + cfg.MemLatency)
+	h.Demand(1, 0)   // fills the L1-I at fill
+	h.Prefetch(2, 0) // lands in the prefetch buffer, ready at fill
+	h.Tick(fill)
+	h.Prefetch(3, fill) // stays in flight
+	if !h.l1.Contains(1) || h.Present(2, fill-1) || !h.Present(2, fill) || !h.InFlight(3) {
+		t.Fatal("setup did not reach the L1, buffer and MSHR states")
+	}
+	for _, c := range []struct {
+		state string
+		line  Line
+		now   int64
+	}{
+		{"in the L1-I", 1, fill},
+		{"in the buffer, ready", 2, fill},
+		{"in the buffer, not ready", 2, fill - 1},
+		{"in an MSHR", 3, fill},
+	} {
+		st, mshrs := h.Stats(), h.mshrs.Len()
+		if h.Prefetch(c.line, c.now) {
+			t.Errorf("Prefetch of a line %s issued a request", c.state)
+		}
+		if h.Stats() != st || h.mshrs.Len() != mshrs {
+			t.Errorf("Prefetch of a line %s changed the stats or the MSHR count", c.state)
+		}
+	}
+}
+
 func TestMSHRExhaustionDropsPrefetches(t *testing.T) {
 	cfg := testCfg()
 	cfg.MSHREntries = 2

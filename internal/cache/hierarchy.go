@@ -243,7 +243,8 @@ func (h *Hierarchy) Fetch(line Line, now int64) int64 {
 }
 
 // Present reports whether the line would hit in L1 or the prefetch buffer at
-// cycle now, without any side effects. Prefetch probes use this.
+// cycle now, without any side effects. Boomerang's BTB miss probe uses it to
+// count probes that hit the L1-I.
 func (h *Hierarchy) Present(line Line, now int64) bool {
 	if h.l1.Contains(line) {
 		return true

@@ -1,12 +1,9 @@
 package frontend
 
 import (
-	"fmt"
-
 	"boomsim/internal/bpu"
 	"boomsim/internal/btb"
 	"boomsim/internal/cache"
-	"boomsim/internal/program"
 )
 
 // CloneDeps carries the already-cloned components an engine clone is wired
@@ -29,9 +26,7 @@ func (e *Engine) MissPolicy() MissHandler { return e.miss }
 
 // Clone returns an independent deep copy of the engine mid-execution: the
 // clone and the original produce identical cycle-by-cycle behaviour from
-// this point while sharing no mutable state. Only an engine driven by the
-// deterministic program walker can be forked; any other oracle (e.g. a trace
-// replayer) has a position Clone cannot copy, and Clone panics.
+// this point while sharing no mutable state.
 //
 // The entry pool is the delicate part: every *Entry in the FTQ, the
 // in-flight window, the freelist and the fetch engine's hands points into
@@ -40,12 +35,8 @@ func (e *Engine) MissPolicy() MissHandler { return e.miss }
 // the simulated configurations, are copied individually through the same
 // map). The immutable image is shared.
 func (e *Engine) Clone(d CloneDeps) *Engine {
-	walker, ok := e.orc.(*program.Walker)
-	if !ok {
-		panic(fmt.Sprintf("frontend: Clone: oracle %T cannot be forked", e.orc))
-	}
 	c := *e
-	c.orc = walker.Clone()
+	c.orc = e.orc.Clone()
 	c.hier = d.Hierarchy
 	c.dir = d.Direction
 	c.btbs = d.BTB

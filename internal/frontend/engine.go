@@ -164,12 +164,14 @@ func (r *lineRing) clear() {
 	r.head, r.n = 0, 0
 }
 
-// Options wires an Engine. Image, Oracle, Hierarchy, Direction and BTB are
-// required; the rest select the scheme under test.
+// Options wires an Engine. Image, Hierarchy, Direction and BTB are required;
+// the rest select the scheme under test.
 type Options struct {
-	Config    config.Core
-	Image     *program.Image
-	Oracle    Oracle
+	Config config.Core
+	Image  *program.Image
+	// WalkSeed seeds the oracle: the engine verifies against a program
+	// walker over Image started with this seed.
+	WalkSeed  uint64
 	Hierarchy *cache.Hierarchy
 	Direction bpu.Direction
 	BTB       *btb.BTB
@@ -193,7 +195,7 @@ type Options struct {
 type Engine struct {
 	cfg     config.Core
 	img     *program.Image
-	orc     Oracle
+	orc     *program.Walker
 	hier    *cache.Hierarchy
 	dir     bpu.Direction
 	btbs    *btb.BTB
@@ -266,7 +268,7 @@ type Engine struct {
 // New builds an engine. It panics on nil required dependencies (programming
 // error, not runtime condition).
 func New(opts Options) *Engine {
-	if opts.Image == nil || opts.Oracle == nil || opts.Hierarchy == nil ||
+	if opts.Image == nil || opts.Hierarchy == nil ||
 		opts.Direction == nil || opts.BTB == nil {
 		panic("frontend: missing required dependency")
 	}
@@ -277,10 +279,11 @@ func New(opts Options) *Engine {
 	if opts.DecoupledDepth > 0 {
 		depth = opts.DecoupledDepth
 	}
+	orc := program.NewWalker(opts.Image, opts.WalkSeed)
 	e := &Engine{
 		cfg:        opts.Config,
 		img:        opts.Image,
-		orc:        opts.Oracle,
+		orc:        orc,
 		hier:       opts.Hierarchy,
 		dir:        opts.Direction,
 		btbs:       opts.BTB,
@@ -292,7 +295,7 @@ func New(opts Options) *Engine {
 		perfectL1:  opts.PerfectL1,
 		ftqDepth:   depth,
 		be:         backend.New(opts.Config),
-		specPC:     opts.Oracle.PC(),
+		specPC:     orc.PC(),
 	}
 	// Every live entry is in the FTQ, the fetch engine's hands, or the
 	// ROB-bounded in-flight window (each group carries >= 1 instruction).
@@ -737,10 +740,7 @@ func (e *Engine) enqueueProbes(ent *Entry) {
 func (e *Engine) probeStep(now int64) {
 	issued := 0
 	for issued < e.cfg.PrefetchProbesPerCycle && e.probeQ.len() > 0 {
-		line := e.probeQ.popFront()
-		if !e.hier.Present(line, now) && !e.hier.InFlight(line) {
-			e.hier.Prefetch(line, now)
-		}
+		e.hier.Prefetch(e.probeQ.popFront(), now)
 		issued++
 	}
 }

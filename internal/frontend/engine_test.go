@@ -9,7 +9,6 @@ import (
 	"boomsim/internal/config"
 	"boomsim/internal/isa"
 	"boomsim/internal/program"
-	"boomsim/internal/workload"
 )
 
 func testImage(t testing.TB, kb int) *program.Image {
@@ -38,7 +37,7 @@ func buildEngine(t testing.TB, img *program.Image, ec engCfg) *Engine {
 	return New(Options{
 		Config:         ec.cfg,
 		Image:          img,
-		Oracle:         workload.NewWalker(img, 7),
+		WalkSeed:       7,
 		Hierarchy:      cache.NewHierarchy(ec.cfg, 0),
 		Direction:      bpu.NewTAGE(ec.cfg.TAGEStorageKB),
 		BTB:            btb.New(ec.cfg.BTBEntries, ec.cfg.BTBAssoc),

@@ -14,22 +14,23 @@
 // preallocated pool and are recycled at retirement or squash, the FTQ,
 // probe queue and in-flight window are fixed rings, and the backend and
 // cache hierarchy it drives use preallocated scratch storage (see their
-// package comments). The one bounded exception is the set-associative
-// arrays, the BTBs and the caches' tag stores (cache.Sets), which are sized
-// by occupancy: a set's chunk grows by appending to one shared pool, and
-// the pool reallocates a logarithmic number of times in the array's
-// lifetime, mostly in the warm window and never once every set is full.
+// package comments). The bounded exceptions are the structures sized by
+// occupancy: the set-associative arrays, the BTBs and the caches' tag
+// stores (cache.Sets), where a set's chunk grows by appending to one shared
+// pool, and the temporal prefetchers' history and index rings. Each
+// reallocates a logarithmic number of times in its lifetime, mostly in the
+// warm window and never once full.
 // Code added to the per-cycle path must follow the same
 // discipline — reuse engine-owned scratch buffers rather than allocating —
 // and TestMeasureLoopAllocationFree (repo root) enforces the contract with
-// testing.AllocsPerRun. Entry pointers handed out by the engine are only
+// testing.AllocsPerRun, and for the first window after a warm with
+// runtime.ReadMemStats. Entry pointers handed out by the engine are only
 // valid until the entry retires or is squashed; do not retain them.
 package frontend
 
 import (
 	"boomsim/internal/btb"
 	"boomsim/internal/isa"
-	"boomsim/internal/program"
 )
 
 // MissHandler decides what the branch prediction unit does on a genuine
@@ -46,16 +47,6 @@ type MissHandler interface {
 	// entry and the cycle the BPU may resume prediction (resumeAt >= now;
 	// the engine inserts the entry into the BTB and stalls until resumeAt).
 	Handle(pc isa.Addr, now int64) (entry btb.Entry, resumeAt int64, ok bool)
-}
-
-// Oracle supplies the architecturally correct execution path the engine
-// verifies against: a live workload walker, or a recorded trace being
-// replayed (package trace).
-type Oracle interface {
-	// PC returns the start address of the next block to execute.
-	PC() isa.Addr
-	// Next consumes and returns one committed step.
-	Next() program.Step
 }
 
 // BTBFillObserver is an optional MissHandler extension: handlers that

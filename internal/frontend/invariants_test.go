@@ -138,7 +138,7 @@ func TestNeverTakenEngineStillCorrect(t *testing.T) {
 	e := New(Options{
 		Config:     cfg,
 		Image:      img,
-		Oracle:     workload.NewWalker(img, 7),
+		WalkSeed:   7,
 		Hierarchy:  cache.NewHierarchy(cfg, 0),
 		Direction:  bpu.NewNeverTaken(),
 		BTB:        btb.New(cfg.BTBEntries, cfg.BTBAssoc),

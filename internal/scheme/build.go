@@ -13,7 +13,6 @@ import (
 	"boomsim/internal/prefetch"
 	"boomsim/internal/program"
 	"boomsim/internal/stats"
-	"boomsim/internal/workload"
 )
 
 // Env is everything a scheme needs to instantiate.
@@ -120,7 +119,6 @@ func (c Config) Build(env Env) *Instance {
 		predictor = c.Predictor
 	}
 	dir := newDirection(predictor, env.Cfg.TAGEStorageKB)
-	orc := workload.NewWalker(env.Img, env.WalkSeed)
 	inst := &Instance{Hier: hier, BTB: b, Dir: dir}
 
 	if p := c.Prefetcher; p != nil {
@@ -193,7 +191,7 @@ func (c Config) Build(env Env) *Instance {
 	}
 
 	inst.Engine = frontend.New(frontend.Options{
-		Config: env.Cfg, Image: env.Img, Oracle: orc,
+		Config: env.Cfg, Image: env.Img, WalkSeed: env.WalkSeed,
 		Hierarchy: hier, Direction: dir, BTB: b,
 		MissHandler: handler, Prefetcher: inst.PF,
 		FDIPProbes: c.FDIPProbes, PerfectL1: c.PerfectL1,

@@ -158,7 +158,7 @@ func LookupWorkload(name string) (WorkloadInfo, error) {
 
 // BuildImage generates the named workload's code image with the given seed.
 // It is the escape hatch for tools that drive internal packages directly
-// (trace recording, walker statistics) while still resolving workloads
+// (boomtrace's image and walker statistics) while still resolving workloads
 // through the public registry.
 func BuildImage(workloadName string, imageSeed uint64) (*program.Image, error) {
 	p, err := workloadByName(workloadName)
