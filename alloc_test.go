@@ -1,6 +1,7 @@
 package boomsim_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -59,25 +60,32 @@ func TestMeasureLoopAllocationFree(t *testing.T) {
 	}
 
 	// The first Run after a warm, as BenchmarkSimulatorThroughput times it
-	// (Apache at 768 KB, 50K warm, 100K measured): a scratch buffer that
-	// first outgrows its warm-window size in the measured window allocates
-	// once there, and AllocsPerRun's warm-up call would absorb that, so
-	// count the heap allocations of the one Run directly. Schemes whose
-	// occupancy-sized state is still filling after 50K instructions grow it
-	// in this window by design and are absent: the temporal history of PIF,
-	// SHIFT and Confluence, and the second BTB level of 2-Level BTB and
-	// PhantomBTB. So is DIP, whose prefetch bursts keep more fills in flight
-	// than the hierarchy's MSHR index holds before its first growth.
+	// (Apache at 768 KB, 50K warm, 100K measured), and after a longer warm:
+	// a scratch buffer that first outgrows its warm-window size in the
+	// measured window allocates once there, and AllocsPerRun's warm-up call
+	// would absorb that, so count the heap allocations of the one Run
+	// directly. Schemes whose occupancy-sized state is still filling after
+	// the warm grow it in this window by design and are absent: the
+	// temporal history of PIF, SHIFT and Confluence, and the second BTB
+	// level of 2-Level BTB and PhantomBTB.
 	bench := apache
 	bench.Gen.FootprintKB = 768
 	t.Run("FirstRunAfterWarm", func(t *testing.T) {
-		for _, s := range []scheme.Scheme{
-			scheme.Base(), scheme.NextLine(), scheme.FDIP(), scheme.Boomerang(),
-			scheme.BoomerangUnthrottled(), scheme.PerfectCF(),
+		for _, c := range []struct {
+			s    scheme.Scheme
+			warm uint64
+		}{
+			{scheme.Base(), 50_000}, {scheme.NextLine(), 50_000}, {scheme.DIP(), 50_000},
+			{scheme.FDIP(), 50_000}, {scheme.Boomerang(), 50_000}, {scheme.Boomerang(), 200_000},
+			{scheme.BoomerangUnthrottled(), 50_000}, {scheme.PerfectCF(), 50_000},
 		} {
-			t.Run(s.Name, func(t *testing.T) {
-				spec := sim.DefaultSpec(s, bench)
-				spec.WarmInstrs = 50_000
+			name := c.s.Name
+			if c.warm != 50_000 {
+				name = fmt.Sprintf("%s after %dK warm", name, c.warm/1000)
+			}
+			t.Run(name, func(t *testing.T) {
+				spec := sim.DefaultSpec(c.s, bench)
+				spec.WarmInstrs = c.warm
 				inst, err := sim.WarmInstance(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -91,8 +99,8 @@ func TestMeasureLoopAllocationFree(t *testing.T) {
 				inst.Engine.Run(100_000, 0)
 				runtime.ReadMemStats(&after)
 				if n := after.Mallocs - before.Mallocs; n != 0 {
-					t.Fatalf("first measure run after a 50K warm allocated %d times (%d B); want 0",
-						n, after.TotalAlloc-before.TotalAlloc)
+					t.Fatalf("first measure run after a %dK warm allocated %d times (%d B); want 0",
+						c.warm/1000, n, after.TotalAlloc-before.TotalAlloc)
 				}
 			})
 		}

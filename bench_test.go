@@ -1,8 +1,9 @@
-// Benchmark harness: simulator cost, not reproduction. Steady-state
-// throughput (recorder off and on), the stall-heavy cycle-skip regime, the
-// 18x7 sweep wall-clock, the workload substrate, and the headline
-// Boomerang-vs-FDIP delta. The paper's figures are experiment specs under
-// testdata/experiments/, run with `boomctl experiment`; see EXPERIMENTS.md.
+// Go benchmarks of simulator cost, not reproduction: steady-state
+// throughput (recorder off and on), the stall-heavy cycle-skip regime and
+// the 18x7 sweep wall-clock. They are quick probes for a profile or a
+// benchstat comparison; the performance record is bench/ (bench/README.md),
+// and the paper's figures are experiment specs under testdata/experiments/,
+// run with `boomctl experiment` (EXPERIMENTS.md).
 package boomsim_test
 
 import (
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"boomsim"
-	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
 	"boomsim/internal/sim"
 	"boomsim/internal/workload"
@@ -56,10 +56,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorThroughputRecorded is the flight recorder's overhead
 // control: the same measured loop with the recorder attached at a 10K-cycle
-// epoch. BenchmarkSimulatorThroughput above stays recorder-off — that is the
-// number benchgate's ns/instr regression gate protects — so any recorder
-// cost shows up here as a visible MIPS delta, never as a silent regression
-// of the gated headline.
+// epoch. BenchmarkSimulatorThroughput above stays recorder-off, so any
+// recorder cost shows up here as a MIPS delta against it.
 func BenchmarkSimulatorThroughputRecorded(b *testing.B) {
 	apache, _ := workload.ByName("Apache")
 	apache.Gen.FootprintKB = 768
@@ -99,7 +97,7 @@ func BenchmarkSimulatorThroughputRecorded(b *testing.B) {
 // (the fraction of simulated cycles fast-forwarded rather than ticked).
 // BenchmarkStallHeavyNoSkip is the per-cycle control — byte-identical
 // results, no skipping — so the ratio of the two stall_ns_per_instr values
-// is the skip's speedup; benchgate records both in BENCH_<pr>.json.
+// is the skip's speedup.
 func BenchmarkStallHeavy(b *testing.B)       { benchStallHeavy(b, true) }
 func BenchmarkStallHeavyNoSkip(b *testing.B) { benchStallHeavy(b, false) }
 
@@ -201,55 +199,10 @@ func runMatrix18x7(b *testing.B, reuse bool) {
 }
 
 // BenchmarkMatrix18x7 measures the full 18-scheme x 7-workload sweep with
-// warm-state reuse on (the default): the headline sub-linear-sweep number
-// that benchgate records as matrix_ms in BENCH_<pr>.json and gates.
+// warm-state reuse on (the default), reported as matrix_ms.
 func BenchmarkMatrix18x7(b *testing.B) { runMatrix18x7(b, true) }
 
 // BenchmarkMatrix18x7NoReuse is the control: the same grid with warm reuse
 // disabled, so every cell re-simulates its warm window. The matrix_ms gap
 // against BenchmarkMatrix18x7 is the measured win of the snapshot plane.
 func BenchmarkMatrix18x7NoReuse(b *testing.B) { runMatrix18x7(b, false) }
-
-// BenchmarkTable2_Workloads sanity-checks that every Table II profile
-// builds and executes (the workload substrate itself).
-func BenchmarkTable2_Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range workload.Profiles {
-			g := w.Gen
-			g.FootprintKB = 256
-			g.Seed = uint64(i + 1)
-			img, err := w.Image(g.Seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wk := workload.NewWalker(img, 1)
-			for j := 0; j < 10_000; j++ {
-				wk.Next()
-			}
-		}
-	}
-}
-
-// BenchmarkBoomerangVsFDIP reports the paper's headline delta at bench
-// scale: Boomerang's gain over FDIP on the BTB-heavy DB2.
-func BenchmarkBoomerangVsFDIP(b *testing.B) {
-	db2, _ := workload.ByName("DB2")
-	db2.Gen.FootprintKB = 768
-	for i := 0; i < b.N; i++ {
-		spec := sim.DefaultSpec(scheme.FDIP(), db2)
-		spec.WarmInstrs = 150_000
-		spec.MeasureInstrs = 500_000
-		fdip, err := sim.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec.Scheme = scheme.Boomerang()
-		boom, err := sim.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(boom.IPC/fdip.IPC, "boomerang_over_fdip")
-		b.ReportMetric(fdip.Stats.SquashesPerKI(frontend.SquashBTBMiss), "fdip_btbmiss_ki")
-		b.ReportMetric(boom.Stats.SquashesPerKI(frontend.SquashBTBMiss), "boom_btbmiss_ki")
-	}
-}

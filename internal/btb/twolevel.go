@@ -7,25 +7,27 @@ import (
 )
 
 // TwoLevelConfig sizes a hierarchical BTB (Section II-C's alternatives to
-// Boomerang: the IBM z-series "Bulk Preload" design and PhantomBTB).
+// Boomerang: the IBM z-series "Bulk Preload" design and PhantomBTB). It is
+// also the declarative form a scheme config carries, hence the JSON tags.
 type TwoLevelConfig struct {
 	// L2Entries/L2Assoc size the large second-level BTB (Bulk Preload uses
 	// 24K entries; the paper cites >200KB of storage for such designs).
-	L2Entries int
-	L2Assoc   int
+	L2Entries int `json:"l2_entries"`
+	L2Assoc   int `json:"l2_assoc"`
 	// L2Latency is the second-level access time exposed on every L1-BTB
-	// miss — the structural drawback the paper highlights.
-	L2Latency int64
+	// miss — the structural drawback the paper highlights. A scheme whose
+	// policy sets L2InLLC pays the LLC round trip instead.
+	L2Latency int64 `json:"l2_latency"`
 	// PreloadLines is the spatial-preload reach: on an L2 hit, entries for
 	// blocks starting within this many cache lines around the miss are
 	// moved up (Bulk Preload's spatially-proximate group).
-	PreloadLines int
+	PreloadLines int `json:"preload_lines"`
 	// Temporal selects PhantomBTB-style operation: entries are grouped in
 	// fill order ("temporal groups" virtualised into the LLC) and a miss
 	// preloads the group that followed the entry last time.
-	Temporal bool
+	Temporal bool `json:"temporal,omitempty"`
 	// TemporalGroup is the group size for temporal preloading.
-	TemporalGroup int
+	TemporalGroup int `json:"temporal_group,omitempty"`
 }
 
 // BulkPreloadConfig returns the z-series-style configuration: a 16K-entry

@@ -152,6 +152,10 @@ func NewHierarchy(cfg config.Core, llcReservedKB int) *Hierarchy {
 		h.pbuf[i].next = h.pbufFree
 		h.pbufFree = int32(i)
 	}
+	// Size both indexes for their slabs up front, so no measured window
+	// pays for their growth.
+	h.pbufIdx.Reserve(cfg.PrefetchBufEntries)
+	h.mshrs.Reserve(cfg.MSHREntries + 8)
 	return h
 }
 

@@ -39,6 +39,20 @@ func (m *Map) init(capacity int) {
 	m.mask = uint64(capacity - 1)
 }
 
+// Reserve sizes an empty map to hold n entries without growing: the
+// smallest power-of-two capacity, at least minCapacity, that n entries fit
+// under the load limit. A map that already holds entries is left as is.
+func (m *Map) Reserve(n int) {
+	if m.n > 0 {
+		return
+	}
+	c := minCapacity
+	for n*maxLoadDen > c*maxLoadNum {
+		c *= 2
+	}
+	m.init(c)
+}
+
 // home returns the key's preferred slot (Fibonacci hashing spreads the
 // line/address keys, which share low-bit structure, across the table).
 func (m *Map) home(key uint64) uint64 {

@@ -101,3 +101,26 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		t.Fatalf("steady-state churn allocated %v times per run", allocs)
 	}
 }
+
+// TestReserveHoldsWithoutGrowing checks that after Reserve(n) the first n
+// distinct keys land in the backing array Reserve allocated, and that the
+// array is no larger than it must be.
+func TestReserveHoldsWithoutGrowing(t *testing.T) {
+	for _, n := range []int{0, 1, 13, 14, 24, 64, 72, 1000} {
+		var m Map
+		m.Reserve(n)
+		if c := len(m.keys); c > minCapacity && n*maxLoadDen <= c/2*maxLoadNum {
+			t.Errorf("Reserve(%d) took %d slots; %d hold it", n, c, c/2)
+		}
+		keys := &m.keys[0]
+		for i := 0; i < n; i++ {
+			m.Set(uint64(i)*64, int32(i))
+		}
+		if &m.keys[0] != keys {
+			t.Errorf("Reserve(%d): %d Sets grew the table to %d slots", n, n, len(m.keys))
+		}
+		if m.Len() != n {
+			t.Errorf("Reserve(%d): Len = %d after %d Sets", n, m.Len(), n)
+		}
+	}
+}

@@ -434,22 +434,27 @@ func (e *Engine) backendStep(now int64) {
 		}
 	}
 	for _, id := range retired {
-		// In-order retirement: anything still queued ahead of a reported
-		// retirement is a wrong-path group the backend popped silently —
-		// recycle those entries, then the reported one.
-		for e.inflight.len() > 0 && e.inflight.front().ID < id {
-			e.freeEntry(e.inflight.popFront())
-		}
-		if e.inflight.len() > 0 && e.inflight.front().ID == id {
-			ent := e.inflight.popFront()
-			if e.pf != nil && ent.OnCorrectPath {
-				first, last := ent.Lines()
-				for l := first; l <= last; l++ {
-					e.pf.OnRetire(l, now)
-				}
+		e.retire(id, now)
+	}
+}
+
+// retire consumes the backend's retirement of group id at cycle at.
+// In-order retirement: anything still queued ahead of a reported
+// retirement is a wrong-path group the backend popped silently — recycle
+// those entries, then the reported one, whose lines train the prefetcher.
+func (e *Engine) retire(id uint64, at int64) {
+	for e.inflight.len() > 0 && e.inflight.front().ID < id {
+		e.freeEntry(e.inflight.popFront())
+	}
+	if e.inflight.len() > 0 && e.inflight.front().ID == id {
+		ent := e.inflight.popFront()
+		if e.pf != nil && ent.OnCorrectPath {
+			first, last := ent.Lines()
+			for l := first; l <= last; l++ {
+				e.pf.OnRetire(l, at)
 			}
-			e.freeEntry(ent)
 		}
+		e.freeEntry(ent)
 	}
 }
 

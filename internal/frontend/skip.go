@@ -154,9 +154,9 @@ func (e *Engine) accrueStalls(now, to int64) {
 // backend mid-drain it first replays the window's retirement stream in
 // closed form: Backend.FastRetire retires at RetireWidth per cycle with
 // exact per-group cycles (stopping the cycle after Run's instruction target
-// is crossed, just as the per-cycle loop would), and the retired groups are
-// then consumed verbatim — the same in-order frees and OnRetire calls, with
-// the same cycle stamps, backendStep would have made. Counters accrue over
+// is crossed, just as the per-cycle loop would), and the retired groups
+// then go through retire as backendStep's do, each stamped with the cycle
+// it retired in. Counters accrue over
 // the actually-covered window, which target crossing may end before `to`.
 func (e *Engine) fastForward(now, to int64, drain bool, targetInstrs uint64) {
 	if drain {
@@ -164,21 +164,7 @@ func (e *Engine) fastForward(now, to int64, drain bool, targetInstrs uint64) {
 		stopAfter := targetInstrs - (e.be.Retired() - e.retireBase)
 		to = e.be.FastRetire(now, to, stopAfter)
 		for _, ev := range e.be.RetiredEvents() {
-			// In-order retirement: anything still queued ahead of a retired
-			// group is a wrong-path group the backend popped silently.
-			for e.inflight.len() > 0 && e.inflight.front().ID < ev.ID {
-				e.freeEntry(e.inflight.popFront())
-			}
-			if e.inflight.len() > 0 && e.inflight.front().ID == ev.ID {
-				ent := e.inflight.popFront()
-				if e.pf != nil && ent.OnCorrectPath {
-					first, last := ent.Lines()
-					for l := first; l <= last; l++ {
-						e.pf.OnRetire(l, ev.At)
-					}
-				}
-				e.freeEntry(ent)
-			}
+			e.retire(ev.ID, ev.At)
 		}
 	}
 	e.accrueStalls(now, to)

@@ -1,8 +1,7 @@
-// Package par provides the bounded worker pool every fan-out in the module
-// shares: the public RunMatrix (and through it RunExperiment) and the
-// sampled-run harness both dispatch through ForEach instead of spawning one
-// goroutine per job, so concurrency is capped by the caller's worker budget
-// rather than the size of the work list.
+// Package par provides the bounded worker pool behind the public RunMatrix
+// (and through it RunExperiment): cells dispatch through ForEach instead of
+// each spawning a goroutine, so concurrency is capped by the caller's
+// worker budget rather than the size of the work list.
 package par
 
 import (

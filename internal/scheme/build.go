@@ -169,14 +169,7 @@ func (c Config) Build(env Env) *Instance {
 		case MissPolicyTwoLevel:
 			tcfg := btb.BulkPreloadConfig()
 			if m.TwoLevel != nil {
-				tcfg = btb.TwoLevelConfig{
-					L2Entries:     m.TwoLevel.L2Entries,
-					L2Assoc:       m.TwoLevel.L2Assoc,
-					L2Latency:     m.TwoLevel.L2Latency,
-					PreloadLines:  m.TwoLevel.PreloadLines,
-					Temporal:      m.TwoLevel.Temporal,
-					TemporalGroup: m.TwoLevel.TemporalGroup,
-				}
+				tcfg = *m.TwoLevel
 			}
 			if m.L2InLLC {
 				tcfg.L2Latency = hier.LLCRoundTrip()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"boomsim/internal/btb"
 	"boomsim/internal/core"
 	"boomsim/internal/prefetch"
 )
@@ -103,27 +104,11 @@ type MissPolicyConfig struct {
 	Boomerang *core.Config `json:"boomerang,omitempty"`
 	// TwoLevel sizes a hierarchical BTB; nil uses the bulk-preload z-series
 	// organisation (btb.BulkPreloadConfig).
-	TwoLevel *TwoLevelConfig `json:"two_level,omitempty"`
+	TwoLevel *btb.TwoLevelConfig `json:"two_level,omitempty"`
 	// L2InLLC virtualises the second BTB level into the LLC (PhantomBTB):
 	// every L2 access pays the configured LLC round trip instead of
 	// TwoLevel's L2Latency.
 	L2InLLC bool `json:"l2_in_llc,omitempty"`
-}
-
-// TwoLevelConfig mirrors btb.TwoLevelConfig as declarative data.
-type TwoLevelConfig struct {
-	// L2Entries and L2Assoc size the second level.
-	L2Entries int `json:"l2_entries"`
-	L2Assoc   int `json:"l2_assoc"`
-	// L2Latency is the L2 access cost in cycles (ignored when the policy
-	// sets L2InLLC).
-	L2Latency int64 `json:"l2_latency"`
-	// PreloadLines bulk-preloads spatially neighbouring entries on a hit.
-	PreloadLines int `json:"preload_lines"`
-	// Temporal preloads temporal groups instead of spatial neighbours.
-	Temporal bool `json:"temporal,omitempty"`
-	// TemporalGroup is the group size for temporal preload.
-	TemporalGroup int `json:"temporal_group,omitempty"`
 }
 
 // knownPredictors matches newDirection's accepted names.

@@ -171,17 +171,13 @@ func BoomerangUnthrottled() Config {
 // against: FDIP plus a large second-level BTB with bulk spatial preload
 // (IBM z-series style). Every L1-BTB miss pays the L2 access latency.
 func TwoLevelBTB() Config {
+	l2 := btb.BulkPreloadConfig()
 	return Config{
 		Name:              "2-Level BTB",
 		Description:       "FDIP + 16K-entry L2 BTB with bulk spatial preload",
 		StorageOverheadKB: 16384 * 84 / 8 / 1024,
 		FDIPProbes:        true,
-		MissPolicy: &MissPolicyConfig{
-			Kind: MissPolicyTwoLevel,
-			TwoLevel: &TwoLevelConfig{
-				L2Entries: 16384, L2Assoc: 4, L2Latency: 4, PreloadLines: 1,
-			},
-		},
+		MissPolicy:        &MissPolicyConfig{Kind: MissPolicyTwoLevel, TwoLevel: &l2},
 	}
 }
 
@@ -189,18 +185,14 @@ func TwoLevelBTB() Config {
 // BTB entries virtualised into the LLC, so every L1-BTB miss that hits the
 // virtual second level pays an LLC round trip.
 func PhantomBTBScheme() Config {
+	// L2InLLC sets the latency from the configured LLC at build time.
+	l2 := btb.PhantomBTBConfig(0)
 	return Config{
 		Name:              "PhantomBTB",
 		Description:       "FDIP + LLC-virtualised temporal-group BTB",
 		StorageOverheadKB: 2, // per-core control state; groups live in the LLC
 		FDIPProbes:        true,
-		MissPolicy: &MissPolicyConfig{
-			Kind: MissPolicyTwoLevel,
-			TwoLevel: &TwoLevelConfig{
-				L2Entries: 16384, L2Assoc: 4, Temporal: true, TemporalGroup: 6,
-			},
-			L2InLLC: true,
-		},
+		MissPolicy:        &MissPolicyConfig{Kind: MissPolicyTwoLevel, TwoLevel: &l2, L2InLLC: true},
 	}
 }
 

@@ -78,8 +78,8 @@ type Stats struct {
 	SimInstrs    uint64 `json:"sim_instrs"`
 }
 
-// NsPerInstr is the service-lifetime average simulation speed, the repo's
-// headline performance metric (see bench_test.go).
+// NsPerInstr is the service-lifetime average simulation speed; the
+// benchmark's serve-mixed workload reports it as server.sim_ns_per_instr.
 func (s Stats) NsPerInstr() float64 {
 	if s.SimInstrs == 0 {
 		return 0

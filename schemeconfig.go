@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"boomsim/internal/btb"
 	"boomsim/internal/core"
 	"boomsim/internal/prefetch"
 	"boomsim/internal/scheme"
@@ -35,7 +36,7 @@ type SchemePrefetcher = scheme.PrefetcherConfig
 type SchemeMissPolicy = scheme.MissPolicyConfig
 
 // SchemeTwoLevelBTB sizes a SchemeMissPolicy's hierarchical BTB.
-type SchemeTwoLevelBTB = scheme.TwoLevelConfig
+type SchemeTwoLevelBTB = btb.TwoLevelConfig
 
 // BoomerangParams tunes a "boomerang" miss policy (throttle depth,
 // predecode latency, scan bound, prefetch buffer size, unthrottled mode).
